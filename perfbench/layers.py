@@ -80,9 +80,9 @@ def install(tracer: Tracer) -> None:
             tr.begin(EPOCH_EVAL)
 
     # signatures of the originals, taken before anything is wrapped
-    sig = {"train_epoch": inspect.signature(trainer.train_epoch),
-           "distance_matrix": inspect.signature(trainer.distance_matrix),
-           "main": inspect.signature(cli.main)}
+    sig = {fn: inspect.signature(getattr(owner, fn))
+           for owner, fn in ((trainer, "train_epoch"), (trainer, "distance_matrix"), (cli, "main"))
+           if hasattr(owner, fn)}
 
     def arguments(fn: str, args, kwargs) -> dict:
         return sig[fn].bind(*args, **kwargs).arguments

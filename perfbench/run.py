@@ -5,7 +5,8 @@ Run from the root of a source checkout:
     python3 perfbench/run.py --workload grlvq-path --seed 1 --seconds 30 --trace 0
 
 It imports the package from ./src, makes every input from --seed, repeats
-the workload's user session until --seconds is spent, checks the outputs,
+the workload's user session while the next one still fits in --seconds
+(at least once), checks the outputs,
 prints each metric by name with its unit, and ends with one JSON line:
 {"correct", "attempted", "failed", "metrics"}. --trace 0 reports the
 end-to-end metrics; --trace 1 alternates untraced and traced sessions and
@@ -30,7 +31,7 @@ sys.path.insert(0, str(HERE))
 import numpy as np  # noqa: E402
 
 import layers  # noqa: E402
-from stats import percentile, summarize  # noqa: E402
+from stats import summarize  # noqa: E402
 
 END_TO_END = {  # name -> unit; the list BENCHMARK.json declares, in report order
     "setup_s": "s",
@@ -127,8 +128,21 @@ def _line(name: str, unit: str, samples, value=None) -> str:
     return f"  {name:<42} {s['median']:.6g} {unit}  (median{tail}, n={s['n']})"
 
 
-def _median(xs) -> float:
-    return percentile(xs, 50.0) if xs else 0.0
+def _pct(xs, p: float = 50.0) -> float:
+    """Percentile of the samples; 0.0 when there are none (every attempt failed)."""
+    return float(np.percentile(xs, p)) if len(xs) else 0.0
+
+
+def repeat_until(deadline: float, work) -> None:
+    """Call `work` at least once, then again while another call, as long as
+    the slowest so far, still ends by `deadline`."""
+    slowest = 0.0
+    while True:
+        t = time.perf_counter()
+        work()
+        slowest = max(slowest, time.perf_counter() - t)
+        if time.perf_counter() + slowest > deadline:
+            return
 
 
 def run_untraced(session, seconds: float, samples_out: Path) -> dict:
@@ -136,16 +150,14 @@ def run_untraced(session, seconds: float, samples_out: Path) -> dict:
 
     deadline = time.perf_counter() + seconds
     if session.spec.setup == "path":
-        # spread the apply samples over the run: some before the path, some after
         for _ in range(SETUP_REPS):
             session.time_setup()
-            session.apply_round(session.inputs.init_models)
-    while True:
-        t = time.perf_counter()
+
+    def checked_session():
         session.session()
-        if time.perf_counter() + (time.perf_counter() - t) > deadline:
-            break
-    session.verify()
+        session.verify()  # frees the session's outputs, so peak RSS does not grow with their count
+
+    repeat_until(deadline, checked_session)
     s = session.samples
     samples_out.write_text(json.dumps(vars(s)) + "\n")
     ledger = session.ledger
@@ -158,10 +170,10 @@ def run_untraced(session, seconds: float, samples_out: Path) -> dict:
         "predict_rows_per_s.grlvq": ("predict_rows_per_s.grlvq", 50.0),
         "predict_rows_per_s.gmlvq": ("predict_rows_per_s.gmlvq", 50.0),
     }
-    metrics = {name: percentile(s.scaled[key], p) for name, (key, p) in timed.items()}
+    metrics = {name: _pct(s.scaled[key], p) for name, (key, p) in timed.items()}
     metrics.update({
-        "test_accuracy": _median(s.test_accuracy),
-        "true_dim_mass": _median(s.true_dim_mass),
+        "test_accuracy": _pct(s.test_accuracy),
+        "true_dim_mass": _pct(s.true_dim_mass),
         "checks_passed_frac": 1.0 - ledger.failed_frac,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     })
@@ -172,10 +184,10 @@ def run_untraced(session, seconds: float, samples_out: Path) -> dict:
             tail = summarize(s.scaled[key])
             tail = f"p{tail['tail_p']:g} {tail['tail']:.6g}, " if tail["tail_p"] else ""
             print(f"  {name:<42} {metrics[name]:.6g} {unit}  (p{p:g} of {len(s.scaled[key])}; "
-                  f"{tail}raw p{p:g} {percentile(s.raw[key], p):.6g})")
+                  f"{tail}raw p{p:g} {_pct(s.raw[key], p):.6g})")
         else:
             print(_line(name, unit, None, metrics[name]))
-    print(_line("sparsity", "fraction", None, _median(s.sparsity)))
+    print(_line("sparsity", "fraction", None, _pct(s.sparsity)))
     print(_line("failed_frac", "fraction", None, ledger.failed_frac))
     print(_line("path_runs", "count", None, len(s.scaled["path_s"])))
     return metrics
@@ -184,30 +196,31 @@ def run_untraced(session, seconds: float, samples_out: Path) -> dict:
 def run_traced(session, seconds: float, spans_out: Path) -> dict:
     from tracing import Tracer
 
-    deadline = time.perf_counter() + seconds
-    plain, traced, tracers, quality = [], [], [], []
-    while True:
-        t = time.perf_counter()
-        plain.append(session.session()[0])
-        tracer = Tracer(run_id=len(tracers))
-        path_s, samples = session.session(tracer)
-        traced.append(path_s)
-        tracers.append(tracer)
-        quality += samples.sparsity
-        if time.perf_counter() + (time.perf_counter() - t) > deadline:
-            break
-    session.verify()
+    plain, traced, tracers = [], [], []
+
+    def pair():
+        """An untraced session, then the same session traced."""
+        plain.append(session.session())
+        tracers.append(Tracer(run_id=len(tracers)))
+        traced.append(session.session(tracers[-1]))
+        session.verify()
+
+    repeat_until(time.perf_counter() + seconds, pair)
     tracers[-1].dump(spans_out)
+    plain = [x for x in plain if x is not None]
+    traced = [x for x in traced if x is not None]
     samples = layers.derive(tracers)
-    samples["trace.overhead_s"] = [_median(traced) - _median(plain)]
-    samples["trainer.sparsity"] = [_median(quality)]
+    samples["trace.overhead_s"] = [_pct(traced) - _pct(plain)]
+    samples["trainer.sparsity"] = [_pct(session.samples.sparsity)]
     metrics = {}
     print("per-layer metrics (traced sessions):")
     for name, unit in layers.PER_LAYER.items():
         xs = samples[name]
         exact = unit in ("count", "bytes", "fraction") or name == "trace.overhead_s"
         print(_line(name, unit, xs, float(xs[0]) if exact else None))
-        metrics[name] = _median(xs)
+        metrics[name] = _pct(xs)
+    for name in sorted({name for tr in tracers for name in tr.missing}):
+        print(f"  not wrapped, missing from the program: {name}")
     print(_line("path_s untraced", "s", plain))
     print(_line("path_s traced", "s", traced))
     print(f"  spans of the last traced session: {len(tracers[-1])} in {spans_out}")

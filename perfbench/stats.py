@@ -3,21 +3,10 @@ still has at least ten samples beyond it."""
 
 from __future__ import annotations
 
-import math
+import numpy as np
 
 PERCENTILE_LADDER = (99.9, 99.0, 95.0, 90.0, 75.0)
 MIN_BEYOND = 10
-
-
-def percentile(samples, p: float) -> float:
-    """Linear-interpolated percentile (numpy's default method) of a non-empty sample."""
-    xs = sorted(samples)
-    if not xs:
-        raise ValueError("no samples")
-    pos = (len(xs) - 1) * p / 100.0
-    lo = math.floor(pos)
-    hi = min(lo + 1, len(xs) - 1)
-    return xs[lo] + (xs[hi] - xs[lo]) * (pos - lo)
 
 
 def tail_percentile(n: int) -> float | None:
@@ -36,7 +25,7 @@ def summarize(samples) -> dict:
     p = tail_percentile(len(xs))
     return {
         "n": len(xs),
-        "median": percentile(xs, 50.0),
+        "median": float(np.percentile(xs, 50.0)),
         "tail_p": p,
-        "tail": percentile(xs, p) if p is not None else None,
+        "tail": float(np.percentile(xs, p)) if p is not None else None,
     }

@@ -12,8 +12,10 @@ sys.path.insert(0, str(HERE))
 sys.path.insert(0, str(HERE.parent / "src"))
 
 import layers  # noqa: E402
+import run  # noqa: E402
+import workloads  # noqa: E402
 from checks import Ledger, check_eval, check_metric_norm, check_predict, check_run_dir  # noqa: E402
-from stats import percentile, summarize, tail_percentile  # noqa: E402
+from stats import summarize, tail_percentile  # noqa: E402
 from tracing import Tracer, ancestor_of, self_times  # noqa: E402
 from workloads import PROBE_NOMINAL_S, Samples  # noqa: E402
 
@@ -44,12 +46,6 @@ def test_summary_tail_has_at_least_ten_samples_beyond(n):
         assert np.sum(xs > s["tail"]) >= 10
 
 
-def test_percentile_matches_numpy_linear():
-    xs = [3.0, 1.0, 2.0, 10.0]
-    for p in (0, 25, 50, 90, 100):
-        assert percentile(xs, p) == pytest.approx(np.percentile(xs, p))
-
-
 def test_empty_summary():
     assert summarize([]) == {"n": 0, "median": None, "tail_p": None, "tail": None}
 
@@ -77,6 +73,42 @@ def test_ledger_counts_failed_operations_once_each():
     assert (ledger.attempted, ledger.failed) == (3, 2)
     assert ledger.failed_frac == pytest.approx(2 / 3)
     assert ledger.problems == ["b: x; y", "c: z"]
+
+
+@pytest.fixture()
+def tiny_session(tmp_path, monkeypatch):
+    """A path workload on 12 dims and 5 x 10 rows."""
+    monkeypatch.setattr(workloads, "N_DIMS", 12)
+    monkeypatch.setattr(workloads, "N_INFORMATIVE", 4)
+    monkeypatch.setattr(workloads, "OMEGA_ROWS", 3)
+    monkeypatch.setitem(workloads.WORKLOADS, "tiny", workloads.Spec(
+        "grlvq", 10, 2, 1.0, 2, 1, setup="path", eval_per_class=0,
+        predict_per_class=10, rounds_after_path=1))
+    return workloads.Session("tiny", 5, tmp_path)
+
+
+@pytest.mark.parametrize("error", [ValueError, RuntimeError])  # handled by cli.main / not
+def test_a_failed_path_is_one_failed_operation(tiny_session, monkeypatch, error):
+    def fail(*_args, **_kwargs):
+        raise error("diverged")
+
+    monkeypatch.setattr(cli, "run_path", fail)  # after pretraining, so setup still passes
+    metrics = run.run_untraced(tiny_session, 0.0, tiny_session.work / "samples.json")
+    ledger = tiny_session.ledger
+    assert (ledger.attempted, ledger.failed) == (workloads.SETUP_REPS + 1, 1)
+    assert ledger.problems[0].startswith("path grlvq: path ")
+    assert set(metrics) == set(run.END_TO_END)
+    assert metrics["checks_passed_frac"] < 1.0
+    assert metrics["path_s"] == 0.0 and metrics["eval_rows_per_s"] == 0.0  # no apply rounds
+
+
+def test_a_passing_session_checks_every_operation(tiny_session):
+    assert tiny_session.session() > 0
+    tiny_session.verify()
+    ledger = tiny_session.ledger
+    # path, then one apply round: eval and PREDICT_REPS predicts per model kind
+    assert ledger.attempted == 1 + 2 * (1 + workloads.PREDICT_REPS)
+    assert ledger.failed == 0, ledger.problems
 
 
 @pytest.fixture()
@@ -197,6 +229,23 @@ def test_traced_run_restores_every_wrapped_attribute(tmp_path, kind):
     else:
         assert got["metric.wrappers_per_step"] == [2.0]
         assert got["l1smooth.abs_smooth.calls_per_step"] == [12.0]  # one per column
+
+
+def test_a_name_missing_from_the_program_is_skipped(tmp_path, monkeypatch):
+    for fn in ("grad_omega", "normalize_omega"):
+        monkeypatch.delattr(metric, fn)
+    monkeypatch.delattr(l1smooth, "matrix_l1_smooth_grad")
+    before = _snapshot()
+    with Tracer() as tr:
+        layers.install(tr)
+        assert cli.main(_tiny_path(tmp_path, "grlvq")) == 0
+    assert _same(_snapshot(), before)
+    assert sorted(tr.missing) == ["sparselvq.l1smooth.matrix_l1_smooth_grad",
+                                  "sparselvq.metric.grad_omega", "sparselvq.metric.normalize_omega"]
+    got = layers.derive([tr])
+    assert set(got) == set(layers.PER_LAYER)
+    assert got["l1smooth.penalty_grad.us.gmlvq"] == []
+    assert got["trainer.distance_matrix.calls_per_epoch"] == [3.0]
 
 
 def test_restore_after_an_exception(tmp_path):

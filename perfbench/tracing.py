@@ -35,6 +35,7 @@ class Tracer:
         self.attrs: dict[int, dict] = {}
         self._stack: list[int] = []
         self._saved: list[tuple[Any, str, Any]] = []
+        self.missing: list[str] = []  # names `wrap`/`count_calls` found absent
 
     def __len__(self) -> int:
         return len(self.start)
@@ -98,9 +99,12 @@ class Tracer:
 
         `before(tracer)` runs ahead of the span, `attrs(args, kwargs)` gives
         the span's attributes, and `note(tracer, idx, args, kwargs, result)`
-        runs after the call.
+        runs after the call. A name the program no longer has is skipped and
+        listed in `missing`, so the metrics that need it read as not run.
         """
-        original = getattr(owner, attr)
+        original = self._original(owner, attr)
+        if original is None:
+            return
         tracer = self
 
         def recorder(*args, **kwargs):
@@ -119,7 +123,9 @@ class Tracer:
 
     def count_calls(self, owner, attr: str, key: str) -> None:
         """Count calls of `owner.attr` on the innermost open span, without a span."""
-        original = getattr(owner, attr)
+        original = self._original(owner, attr)
+        if original is None:
+            return
         tracer = self
 
         def counter(*args, **kwargs):
@@ -127,6 +133,12 @@ class Tracer:
             return original(*args, **kwargs)
 
         self.replace(owner, attr, counter)
+
+    def _original(self, owner, attr: str):
+        original = getattr(owner, attr, None)
+        if original is None:
+            self.missing.append(f"{owner.__name__}.{attr}")
+        return original
 
     def restore(self) -> None:
         while self._saved:

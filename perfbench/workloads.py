@@ -1,17 +1,19 @@
 """The benchmark's workloads: inputs made from the seed, the timed user
 session, and the output checks.
 
-Every workload is one user session, repeated until the time budget is
-spent: run `sparselvq path` in-process to get a sparse model, then apply
-models with `sparselvq eval` (CSV in) and `trainer.predict` (in-memory
-matrix), one GRLVQ and one GMLVQ model. The workloads differ in which
-part dominates (see NOTES.md for why each was chosen):
+Every workload is one user session, repeated while the next one still
+fits in the time budget: run `sparselvq path` in-process to get a sparse
+model, then apply models with `sparselvq eval` (CSV in) and
+`trainer.predict` (in-memory matrix), one GRLVQ and one GMLVQ model. The
+workloads differ in which part dominates (see NOTES.md for why each was
+chosen):
 
-* grlvq-path: the acceptance path (60 pretrain epochs, 20 x 10 ramp to 1).
-* gmlvq-path: GMLVQ with 20 projection rows, 60 pretrain epochs, 10 x 4
-  ramp to 0.3; 36 of its 100 epochs pay the matrix penalty gradient.
-* apply: a short GRLVQ path (100 epochs on 5 x 60 rows), then eval on a
-  shuffled 10,000-row pixel CSV and predict on a 100,000-row matrix.
+* grlvq-path: the acceptance data and ramp (20 pretrain epochs, 20 x 2
+  ramp to 1), shortened per step so that a run holds several paths.
+* gmlvq-path: GMLVQ with 20 projection rows, 30 pretrain epochs, 8 x 1
+  ramp to 0.3; 7 of its 38 epochs pay the matrix penalty gradient.
+* apply: a short GRLVQ path (60 epochs on 5 x 60 rows), then eval on a
+  shuffled 5,000-row pixel CSV and predict on a 100,000-row matrix.
 
 Data generation, the init-model files and the reference predictions used
 by the checks all stay outside the timed spans.
@@ -44,8 +46,9 @@ from tracing import Tracer
 
 N_DIMS, N_INFORMATIVE, N_CLASSES = 200, 10, 5
 OMEGA_ROWS = 20
-SETUP_REPS = 6  # path runs stopped at the first epoch, each followed by an apply round
+SETUP_REPS = 6  # path runs stopped at the first epoch, at the start of a path workload's run
 LOAD_REPS = 10  # load_model repeats per apply round on `apply`, for setup_s
+PREDICT_REPS = 3  # predict calls per model per apply round
 CHECK_ROWS = 32  # rows per predict call compared with a brute-force scan
 PROBE_NOMINAL_S = 1e-3  # probe duration the scaled timings are expressed at
 BRACKET = 3  # probes before and after each timed call
@@ -64,7 +67,6 @@ class Spec:
     eval_per_class: int  # pixel CSV rows per class; 0: eval on the training CSV itself
     predict_per_class: int
     rounds_after_path: int  # apply rounds after each path run
-    predict_reps: int  # predict calls per model per apply round
 
     @property
     def n_epochs(self) -> int:
@@ -80,19 +82,15 @@ class Spec:
 
 
 WORKLOADS = {
-    "grlvq-path": Spec("grlvq", 200, 60, 1.0, 20, 10, setup="path", eval_per_class=0,
-                       predict_per_class=1000, rounds_after_path=5, predict_reps=3),
-    "gmlvq-path": Spec("gmlvq", 200, 60, 0.3, 10, 4, setup="path", eval_per_class=0,
-                       predict_per_class=1000, rounds_after_path=5, predict_reps=3),
-    "apply": Spec("grlvq", 60, 20, 1.0, 20, 4, setup="load", eval_per_class=2000,
-                  predict_per_class=20000, rounds_after_path=1, predict_reps=3),
+    "grlvq-path": Spec("grlvq", 200, 20, 1.0, 20, 2, setup="path", eval_per_class=0,
+                       predict_per_class=1000, rounds_after_path=2),
+    "gmlvq-path": Spec("gmlvq", 200, 30, 0.3, 8, 1, setup="path", eval_per_class=0,
+                       predict_per_class=1000, rounds_after_path=2),
+    "apply": Spec("grlvq", 60, 20, 1.0, 20, 2, setup="load", eval_per_class=1000,
+                  predict_per_class=20000, rounds_after_path=1),
 }
 
 OTHER_KIND = {"grlvq": "gmlvq", "gmlvq": "grlvq"}
-
-
-class BenchError(RuntimeError):
-    """The program could not complete an operation; the run has no result."""
 
 
 class _StopAtFirstEpoch(Exception):
@@ -120,11 +118,18 @@ def probes(n: int = BRACKET) -> list[float]:
     return [probe() for _ in range(n)]
 
 
-def _cli(argv: list[str]) -> int:
+def _cli(argv: list[str]) -> list[str]:
+    """Run a sparselvq command in-process; returns its problems, empty on exit code 0."""
     from sparselvq import cli
 
     with contextlib.redirect_stdout(sys.stderr):
-        return cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except _StopAtFirstEpoch:
+            raise
+        except Exception as exc:  # an error cli.main does not handle is still one failed operation
+            return [f"{argv[0]} raised {type(exc).__name__}: {exc}"]
+    return [f"{argv[0]} exited with {code}"] if code else []
 
 
 def _pixels(seed: int, per_class: int, shuffle_seed: int):
@@ -243,20 +248,23 @@ class Session:
             before = probes()
             t0 = time.perf_counter()
             try:
-                _cli(self._path_argv(self._next_dir("setup")))
+                problems = _cli(self._path_argv(self._next_dir("setup")))
             except _StopAtFirstEpoch as stopped:
                 self.samples.add("setup_s", stopped.args[0] - t0, before + probes())
-                return
-        raise BenchError("path run ended before its first epoch")
+                problems = []
+            else:
+                problems.append("path ended before its first epoch")
+        self.ledger.record(f"setup {self.spec.kind}", problems)
 
-    def session(self, tracer: Tracer | None = None) -> tuple[float, Samples]:
+    def session(self, tracer: Tracer | None = None) -> float | None:
         """A path run followed by the spec's apply rounds on its model.
 
         Untraced, the only wrapper times each train_epoch call and runs one
         probe after it; the samples accumulate in `self.samples`. With
         `tracer`, every layer boundary is recorded, no probe runs inside the
-        path, and the samples are returned on their own. Returns the path's
-        raw wall time (probes excluded) and the samples.
+        path, and the samples are dropped. Returns the path's raw wall time
+        (probes excluded), or None when the path failed: then it counts as
+        one failed operation and the session stops there.
         """
         from sparselvq import trainer
 
@@ -284,11 +292,15 @@ class Session:
                 layers.install(tracer)
             before = probes()
             t0 = time.perf_counter()
-            code = _cli(self._path_argv(out))
+            problems = _cli(self._path_argv(out))
             path_s = time.perf_counter() - t0 - sum(inside)
             after = probes()
-            if code != 0:
-                raise BenchError(f"sparselvq path exited with {code}")
+            # checks outside every timed span; a failed path gets no apply rounds
+            if not problems:
+                problems = (check_run_dir(out, self.spec.n_epochs, self.spec.steps)
+                            + check_metric_norm(trainer.load_model(out / "model.json")))
+            if not self.ledger.record(f"path {self.spec.kind}", problems):
+                return None
             other = OTHER_KIND[self.spec.kind]
             models = {self.spec.kind: out / "model.json", other: self.inputs.init_models[other]}
             for _ in range(self.spec.rounds_after_path):
@@ -308,18 +320,12 @@ class Session:
             s.add("path_s", path_s, before + after)
         if first and self.spec.setup == "path":
             s.add("setup_s", first[0] - t0, before + inside[:BRACKET])
-
-        # checks and quality figures, outside every timed span
-        final = trainer.load_model(out / "model.json")
-        self.ledger.record(f"path {self.spec.kind}",
-                           check_run_dir(out, self.spec.n_epochs, self.spec.steps)
-                           + check_metric_norm(final))
         self._quality(out, s)
-        return path_s, s
+        return path_s
 
     def apply_round(self, models: dict[str, Path], recorder: Tracer | None = None,
                     s: Samples | None = None) -> None:
-        """`eval` each model file once and `predict` each model predict_reps
+        """`eval` each model file once and `predict` each model PREDICT_REPS
         times; on apply, time loading the model files first (its setup)."""
         from sparselvq import trainer
 
@@ -341,14 +347,14 @@ class Session:
             ev_out = self._next_dir(f"eval-{kind}").with_suffix(".json")
             before = probes()
             t = time.perf_counter()
-            code = _cli(["eval", "--model", str(path), "--data", str(inp.eval_csv),
-                         "--label-col", "label", "--out", str(ev_out)])
+            problems = _cli(["eval", "--model", str(path), "--data", str(inp.eval_csv),
+                             "--label-col", "label", "--out", str(ev_out)])
             s.add("eval_rows_per_s", time.perf_counter() - t, before + probes(),
                   rows=len(inp.eval_raw))
-            self._pending.append(("eval", path, code, ev_out))
+            self._pending.append(("eval", path, problems, ev_out))
         loaded = {kind: trainer.load_model(path) for kind, path in models.items()}
         rows = inp.X.shape[0]
-        for _ in range(self.spec.predict_reps):
+        for _ in range(PREDICT_REPS):
             for kind, model in loaded.items():
                 before = probes()
                 span = recorder.begin(layers.BENCH_PREDICT, kind=kind, rows=rows)
@@ -367,14 +373,13 @@ class Session:
         reference: dict[Path, tuple] = {}
         for op in self._pending:
             if op[0] == "eval":
-                _, path, code, ev_out = op
+                _, path, problems, ev_out = op
                 if path not in reference:
                     model = trainer.load_model(path)
                     reference[path] = (model, trainer.predict(model, inp.eval_X))
                 model, pred = reference[path]
-                problems = [f"exit code {code}"] if code else \
-                    check_eval(ev_out, model, inp.eval_raw, pred)
-                self.ledger.record(f"eval {model.kind}", problems)
+                self.ledger.record(f"eval {model.kind}",
+                                   problems or check_eval(ev_out, model, inp.eval_raw, pred))
             else:
                 _, model, pred = op
                 self.ledger.record(f"predict {model.kind}",
