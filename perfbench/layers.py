@@ -57,6 +57,7 @@ PER_LAYER = {
     "cli.run_dir_write.ms": "ms",
     "cli.self.ms.path": "ms",
     "cli.self.ms.eval": "ms",
+    "checks.eval_known_defect_frac": "fraction",
     "trace.overhead_s": "s",
 }
 

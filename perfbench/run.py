@@ -212,6 +212,7 @@ def run_traced(session, seconds: float, spans_out: Path) -> dict:
     samples = layers.derive(tracers)
     samples["trace.overhead_s"] = [_pct(traced) - _pct(plain)]
     samples["trainer.sparsity"] = [_pct(session.samples.sparsity)]
+    samples["checks.eval_known_defect_frac"] = [session.ledger.known_frac("eval")]
     metrics = {}
     print("per-layer metrics (traced sessions):")
     for name, unit in layers.PER_LAYER.items():
@@ -255,6 +256,8 @@ def main(argv=None) -> int:
     print(f"operations: {ledger.attempted} attempted, {ledger.failed} failed")
     for problem in ledger.problems:
         print(f"  FAILED {problem}")
+    for known in sorted(set(ledger.known)):
+        print(f"  KNOWN DEFECT ({ledger.known.count(known)}x) {known}")
     env["loadavg_1m_end"] = os.getloadavg()[0]
     env["os_threads_end"] = _os_threads()
     print("environment: " + json.dumps(env))

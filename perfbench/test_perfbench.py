@@ -11,6 +11,7 @@ HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE))
 sys.path.insert(0, str(HERE.parent / "src"))
 
+import checks  # noqa: E402
 import layers  # noqa: E402
 import run  # noqa: E402
 import workloads  # noqa: E402
@@ -20,7 +21,7 @@ from tracing import Tracer, ancestor_of, self_times  # noqa: E402
 from workloads import PROBE_NOMINAL_S, Samples  # noqa: E402
 
 from sparselvq import cli, l1smooth, metric, trainer  # noqa: E402
-from sparselvq.dataset import SplitSpec, save_csv, split, synth_sparse  # noqa: E402
+from sparselvq.dataset import LabeledDataset, SplitSpec, save_csv, split, synth_sparse  # noqa: E402
 
 
 # -- percentile rule ---------------------------------------------------------
@@ -81,6 +82,7 @@ def tiny_session(tmp_path, monkeypatch):
     monkeypatch.setattr(workloads, "N_DIMS", 12)
     monkeypatch.setattr(workloads, "N_INFORMATIVE", 4)
     monkeypatch.setattr(workloads, "OMEGA_ROWS", 3)
+    monkeypatch.setattr(workloads, "PREDICT_ROWS", 0)
     monkeypatch.setitem(workloads.WORKLOADS, "tiny", workloads.Spec(
         "grlvq", 10, 2, 1.0, 2, 1, setup="path", eval_per_class=0,
         predict_per_class=10, rounds_after_path=1))
@@ -127,11 +129,46 @@ def test_check_eval_compares_against_label_names(tiny):
     truth = float(np.mean(pred == data.labels))
     out = tmp / "eval.json"
     out.write_text(json.dumps({"accuracy": truth}))
-    assert check_eval(out, model, raw, pred) == []
+    assert check_eval(out, model, raw, pred) == ([], None)
     out.write_text(json.dumps({"accuracy": truth - 0.1}))
-    assert check_eval(out, model, raw, pred)
-    assert check_eval(out, model, raw + ["7"], np.append(pred, 0))  # unknown label
-    assert check_eval(tmp / "missing.json", model, raw, pred)
+    assert check_eval(out, model, raw, pred)[0]
+    assert check_eval(out, model, raw + ["7"], np.append(pred, 0))[0]  # unknown label
+    assert check_eval(tmp / "missing.json", model, raw, pred)[0]
+
+
+def test_check_eval_names_the_known_label_mapping_defect(tiny):
+    data, model, tmp = tiny
+    order = np.argsort(-data.labels, kind="stable")  # first appearance 2, 1, 0
+    pred = trainer.predict(model, data.features[order])
+    raw = [str(c) for c in data.labels[order]]
+    truth = float(np.mean(pred == data.labels[order]))
+    defect = float(np.mean(pred == 2 - data.labels[order]))
+    assert defect != truth
+    out = tmp / "eval.json"
+    out.write_text(json.dumps({"accuracy": defect}))
+    problems, known = check_eval(out, model, raw, pred)
+    assert problems == [] and known.startswith(checks.KNOWN_EVAL_DEFECT)
+    # the program itself, run on the reordered rows, gives exactly that figure
+    csv_path = tmp / "reordered.csv"
+    save_csv(LabeledDataset(data.features[order], data.labels[order], data.dim_names,
+                            ["0", "1", "2"]), csv_path)
+    model_path = tmp / "model.json"
+    trainer.save_model(model, model_path)
+    assert cli.main(["eval", "--model", str(model_path), "--data", str(csv_path),
+                     "--out", str(out)]) == 0
+    assert check_eval(out, model, raw, pred) == ([], known)
+
+
+def test_ledger_lists_known_defects_without_failing_them():
+    ledger = Ledger()
+    assert ledger.record("eval grlvq", [], "a known defect")
+    assert ledger.record("eval gmlvq", [])
+    assert ledger.record("predict grlvq", [])
+    assert (ledger.attempted, ledger.failed) == (3, 0)
+    assert ledger.known == ["eval grlvq: a known defect"]
+    assert ledger.known_frac("eval") == 0.5 and ledger.known_frac("predict") == 0.0
+    assert not ledger.record("eval grlvq", ["wrong"], "ignored when it fails")
+    assert ledger.known == ["eval grlvq: a known defect"] and ledger.failed == 1
 
 
 def test_check_predict_catches_a_wrong_row(tiny):

@@ -48,7 +48,10 @@ N_DIMS, N_INFORMATIVE, N_CLASSES = 200, 10, 5
 OMEGA_ROWS = 20
 SETUP_REPS = 6  # path runs stopped at the first epoch, at the start of a path workload's run
 LOAD_REPS = 10  # load_model repeats per apply round on `apply`, for setup_s
-PREDICT_REPS = 3  # predict calls per model per apply round
+PREDICT_REPS = 3  # predict calls per model per apply round, at least
+# rows each model predicts per apply round: a short predict call is noisy next
+# to its speed probes, so smaller matrices are predicted more often
+PREDICT_ROWS = 50_000
 CHECK_ROWS = 32  # rows per predict call compared with a brute-force scan
 PROBE_NOMINAL_S = 1e-3  # probe duration the scaled timings are expressed at
 BRACKET = 3  # probes before and after each timed call
@@ -326,7 +329,8 @@ class Session:
     def apply_round(self, models: dict[str, Path], recorder: Tracer | None = None,
                     s: Samples | None = None) -> None:
         """`eval` each model file once and `predict` each model PREDICT_REPS
-        times; on apply, time loading the model files first (its setup)."""
+        times or more (see PREDICT_ROWS); on apply, time loading the model
+        files first (its setup)."""
         from sparselvq import trainer
 
         s = s if s is not None else self.samples
@@ -354,7 +358,7 @@ class Session:
             self._pending.append(("eval", path, problems, ev_out))
         loaded = {kind: trainer.load_model(path) for kind, path in models.items()}
         rows = inp.X.shape[0]
-        for _ in range(PREDICT_REPS):
+        for _ in range(max(PREDICT_REPS, -(-PREDICT_ROWS // rows))):
             for kind, model in loaded.items():
                 before = probes()
                 span = recorder.begin(layers.BENCH_PREDICT, kind=kind, rows=rows)
@@ -378,8 +382,10 @@ class Session:
                     model = trainer.load_model(path)
                     reference[path] = (model, trainer.predict(model, inp.eval_X))
                 model, pred = reference[path]
-                self.ledger.record(f"eval {model.kind}",
-                                   problems or check_eval(ev_out, model, inp.eval_raw, pred))
+                known = None
+                if not problems:
+                    problems, known = check_eval(ev_out, model, inp.eval_raw, pred)
+                self.ledger.record(f"eval {model.kind}", problems, known)
             else:
                 _, model, pred = op
                 self.ledger.record(f"predict {model.kind}",
