@@ -179,6 +179,8 @@ def _manifest_from_args(args, command: str) -> dict:
 
 def _manifest_from_file(args, command: str) -> dict:
     manifest = json.loads(Path(args.manifest).read_text())
+    if not isinstance(manifest, dict):
+        raise ValueError(f"manifest {args.manifest} is not a JSON object")
     if manifest.get("command") != command:
         raise UsageError(
             f"manifest was written by `{manifest.get('command')}`, not `{command}`"
@@ -199,14 +201,19 @@ def _write_profile_csv(path: Path, model: LVQModel, dim_names) -> None:
 
 
 def _execute_run(manifest: dict) -> int:
-    data = load_csv(manifest["data"], manifest["label_column"])
-    if manifest["l2_normalize"]:
+    try:
+        data_path, label_column = manifest["data"], manifest["label_column"]
+        normalize, outdir = manifest["l2_normalize"], Path(manifest["out"])
+        split_spec = SplitSpec(**manifest["split"])
+        config = TrainConfig.from_json_dict(manifest["config"])
+        schedule = PathSchedule(**manifest["schedule"]) if manifest["schedule"] else None
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed manifest: {type(exc).__name__}: {exc}") from exc
+    data = load_csv(data_path, label_column)
+    if normalize:
         data = l2_normalize(data)
-    train_data, test_data = split(data, SplitSpec(**manifest["split"]))
-    config = TrainConfig.from_json_dict(manifest["config"])
-    schedule = PathSchedule(**manifest["schedule"]) if manifest["schedule"] else None
+    train_data, test_data = split(data, split_spec)
 
-    outdir = Path(manifest["out"])
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 

@@ -37,6 +37,13 @@ MODEL_KINDS = ("glvq", "grlvq", "gmlvq")
 
 DET_WARN_THRESHOLD = 1e-12
 
+# rows per block in distance_matrix; bounds its working memory. 128 rows keep
+# the projection by a 20 x 200 Omega at 512,000 multiply-adds, which OpenBLAS
+# (0.3.31) still runs on one thread. Larger products wake its worker threads,
+# which stall on a loaded machine and spin on after the call, slowing the code
+# that follows; a wider Omega still takes that path
+DIST_BLOCK_ROWS = 128
+
 
 class NonFiniteUpdate(RuntimeError):
     """A gradient step produced NaN/Inf; training aborts rather than clips."""
@@ -176,13 +183,49 @@ class LVQModel:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "LVQModel":
-        return cls(
-            d["kind"],
-            PrototypeSet.from_json_dict(d["protos"]),
-            RelevanceProfile(np.array(d["lambda"], dtype=float)) if d.get("lambda") else None,
-            OmegaMatrix(np.array(d["omega"], dtype=float)) if d.get("omega") else None,
-            d.get("label_names"),
-        )
+        """Inverse of `to_json_dict`, checking the fields against each other.
+
+        Raises ValueError when an entry is missing or of the wrong type,
+        `kind` is not in MODEL_KINDS, `lambda` is not present exactly for
+        grlvq or `omega` exactly for gmlvq, a length differs from
+        `n_features`, Omega has more rows than columns, the labels do not
+        match the vectors or `label_names`, or a value is not finite.
+        """
+        try:
+            kind, n, names = d["kind"], d["n_features"], d.get("label_names")
+            protos = PrototypeSet.from_json_dict(d["protos"])
+            lam = None if d.get("lambda") is None else np.array(d["lambda"], dtype=float)
+            om = None if d.get("omega") is None else np.array(d["omega"], dtype=float)
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed model: {type(exc).__name__}: {exc}") from exc
+        if kind not in MODEL_KINDS:
+            raise ValueError(f"model kind must be one of {MODEL_KINDS}, got {kind!r}")
+        if type(n) is not int or n < 1:
+            raise ValueError(f"n_features must be a positive integer, got {n!r}")
+        if protos.n_protos < 1 or protos.n_features != n:
+            raise ValueError(f"prototype vectors have shape {protos.vectors.shape}, "
+                             f"expected (M, {n}) with M >= 1")
+        for key, value, owner in (("lambda", lam, "grlvq"), ("omega", om, "gmlvq")):
+            if (value is not None) != (kind == owner):
+                raise ValueError(f"a {kind} model must {'' if kind == owner else 'not '}"
+                                 f"carry `{key}`")
+            if value is not None and not np.all(np.isfinite(value)):
+                raise ValueError(f"`{key}` contains non-finite entries")
+        if lam is not None and lam.shape != (n,):
+            raise ValueError(f"`lambda` has shape {lam.shape}, expected ({n},)")
+        if om is not None and not (om.ndim == 2 and 1 <= om.shape[0] <= om.shape[1] == n):
+            raise ValueError(f"`omega` has shape {om.shape}, expected (m, {n}) "
+                             f"with 1 <= m <= {n}")
+        if protos.labels.min() < 0:
+            raise ValueError(f"prototype labels must be nonnegative, got {protos.labels}")
+        if names is not None and (not isinstance(names, list)
+                                  or protos.labels.max() >= len(names)):
+            raise ValueError(f"label_names must be a list with an entry for every "
+                             f"prototype label, got {names!r}")
+        return cls(kind, protos,
+                   RelevanceProfile(lam) if lam is not None else None,
+                   OmegaMatrix(om) if om is not None else None,
+                   names)
 
 
 def save_model(model: LVQModel, path) -> None:
@@ -228,24 +271,69 @@ def _dists_to_protos(model: LVQModel, v: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", diff, diff)
 
 
+def _project(model: LVQModel, A: np.ndarray) -> np.ndarray:
+    """Rows of A mapped so that the model distance becomes the squared
+    Euclidean one: A * lambda (grlvq, in place), A @ Omega^T (gmlvq), A (glvq)."""
+    if model.kind == "grlvq":
+        A *= model.rel.lam
+        return A
+    if model.kind == "gmlvq":
+        return A @ model.omega.omega.T
+    return A
+
+
 def distance_matrix(model: LVQModel, X: np.ndarray) -> np.ndarray:
-    """(N, M) distances between samples and prototypes under the model metric."""
+    """(N, M) distances between the rows of X and the prototypes.
+
+    Every metric is a projection P (diag(lambda), Omega or the identity),
+    so d(x, w) = ||P x - P w||^2 = ||p||^2 - 2 p.q + ||q||^2. Both sides
+    are first centred on the prototype mean, which leaves distances
+    unchanged but keeps a large common offset (raw reflectance, say) from
+    cancelling in that expansion. Rows are centred, projected and expanded
+    DIST_BLOCK_ROWS (128) at a time in one reused buffer, so the memory
+    used beyond X and the (N, M) result is one (DIST_BLOCK_ROWS, n) block
+    (plus its (DIST_BLOCK_ROWS, m) projection for gmlvq), whatever N is.
+    Entries agree with `LVQModel.dist` up to rounding and are clamped at
+    zero. N = 0 gives an empty (0, M) result; X must be 2-D.
+    """
     X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise DimensionMismatch(
+            f"expected a 2-D (samples, features) array, got shape {X.shape}"
+        )
     if X.shape[1] != model.n_features:
         raise DimensionMismatch(
             f"model expects {model.n_features} features, data has {X.shape[1]}"
         )
-    diff = X[:, np.newaxis, :] - model.protos.vectors[np.newaxis, :, :]
-    if model.kind == "grlvq":
-        return np.einsum("smf,f,smf->sm", diff, model.rel.lam**2, diff)
-    if model.kind == "gmlvq":
-        p = diff @ model.omega.omega.T  # (N, M, m)
-        return np.einsum("smk,smk->sm", p, p)
-    return np.einsum("smf,smf->sm", diff, diff)
+    W = model.protos.vectors
+    centre = W.mean(axis=0)
+    Q = _project(model, W - centre)
+    q_sq = np.einsum("ij,ij->i", Q, Q)
+    out = np.empty((X.shape[0], W.shape[0]))
+    buf = np.empty((min(X.shape[0], DIST_BLOCK_ROWS), X.shape[1]))
+    for start in range(0, X.shape[0], DIST_BLOCK_ROWS):
+        rows = X[start:start + DIST_BLOCK_ROWS]
+        P = _project(model, np.subtract(rows, centre, out=buf[:rows.shape[0]]))
+        block = out[start:start + DIST_BLOCK_ROWS]
+        # einsum, not P @ Q.T: the (rows, M) product is too small to gain from
+        # multithreaded BLAS, whose thread wake-ups stall on a loaded machine
+        np.einsum("ij,kj->ik", P, Q, out=block)
+        block *= -2.0
+        block += np.einsum("ij,ij->i", P, P)[:, np.newaxis]
+        block += q_sq
+        np.maximum(block, 0.0, out=block)
+    return out
 
 
 def predict(model: LVQModel, X: np.ndarray) -> np.ndarray:
-    """Label of the nearest prototype per sample (ties: lowest index)."""
+    """Label of the nearest prototype per row of the 2-D array X.
+
+    Goes through `distance_matrix`, so it runs in that function's bounded
+    memory on image-sized inputs. Ties go to the lowest prototype index.
+    Distances are exact only up to rounding, so the rule holds for ties
+    that rounding preserves: prototypes whose distances differ by less
+    than rounding error may be ranked either way.
+    """
     d = distance_matrix(model, X)
     return model.protos.labels[np.argmin(d, axis=1)]
 

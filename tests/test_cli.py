@@ -139,6 +139,30 @@ class TestPathCommand:
         assert (out1 / "metrics.jsonl").read_bytes() == (out2 / "metrics.jsonl").read_bytes()
         assert (out1 / "path.csv").read_bytes() == (out2 / "path.csv").read_bytes()
 
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda m: m.pop("config"), id="missing-config"),
+        pytest.param(lambda m: m["config"].update(learning_rate=0.1), id="unknown-setting"),
+        pytest.param(lambda m: m.update(split=None), id="null-split"),
+        pytest.param(lambda m: m["schedule"].update(steps="2"), id="string-steps"),
+    ])
+    def test_malformed_manifest_is_runtime_error(self, tmp_path, tiny_csv, capsys, edit):
+        out1 = tmp_path / "p7"
+        assert run_cli(["path", "--data", tiny_csv, "--epochs", 1, "--epochs-per-step", 1,
+                        "--reg-steps", 2, "--out", out1]) == 0
+        manifest = json.loads((out1 / "manifest.json").read_text())
+        edit(manifest)
+        bad = tmp_path / "bad_manifest.json"
+        bad.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run_cli(["path", "--manifest", bad, "--out", tmp_path / "p8"]) == 1
+        assert "malformed manifest" in capsys.readouterr().err
+
+    def test_manifest_that_is_not_an_object_is_runtime_error(self, tmp_path, capsys):
+        bad = tmp_path / "list.json"
+        bad.write_text("[1, 2]")
+        assert run_cli(["path", "--manifest", bad, "--out", tmp_path / "p9"]) == 1
+        assert "not a JSON object" in capsys.readouterr().err
+
     def test_wrong_manifest_command_is_usage_error(self, tmp_path, tiny_csv):
         out1 = tmp_path / "p5"
         assert run_cli(["train", "--data", tiny_csv, "--epochs", 1,
@@ -174,6 +198,25 @@ class TestEvalCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert "9" in err and "6" in err
+
+    @pytest.mark.parametrize("edit,message", [
+        pytest.param(lambda d: d.update({"lambda": None}), "lambda", id="grlvq-without-lambda"),
+        pytest.param(lambda d: d.pop("protos"), "malformed model", id="missing-protos"),
+        pytest.param(lambda d: d.update(kind="lvq3"), "kind", id="unknown-kind"),
+    ])
+    def test_bad_model_file_is_runtime_error(self, tmp_path, tiny_csv, capsys, edit, message):
+        out = tmp_path / "run"
+        assert run_cli(["train", "--data", tiny_csv, "--epochs", 1, "--out", out]) == 0
+        model = json.loads((out / "model.json").read_text())
+        edit(model)
+        mpath = tmp_path / "bad.json"
+        mpath.write_text(json.dumps(model))
+        capsys.readouterr()
+        code = run_cli(["eval", "--model", mpath, "--data", tiny_csv,
+                        "--out", tmp_path / "e.json"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
 
     def test_perfect_prototypes_on_noiseless_data(self, tmp_path, capsys):
         data = synth_sparse(5, 2, 3, 4, noise_sigma=0.0, seed=9)

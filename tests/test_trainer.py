@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ import pytest
 from sparselvq.dataset import LabeledDataset, SplitSpec, split, synth_sparse
 from sparselvq.glvq import PrototypeSet, TransferFn, cost
 from sparselvq.l1smooth import l1_exact
-from sparselvq.metric import OmegaMatrix, RelevanceProfile, d_lambda
+from sparselvq.metric import DimensionMismatch, OmegaMatrix, RelevanceProfile, d_lambda
 from sparselvq.trainer import (
+    DIST_BLOCK_ROWS,
     EpochMetrics,
     LVQModel,
     NonFiniteUpdate,
@@ -29,6 +31,7 @@ from sparselvq.trainer import (
 )
 
 IDENTITY = TransferFn.identity()
+KINDS = ("glvq", "grlvq", "gmlvq")
 
 
 def small_data(seed=0, n_dims=6, n_informative=3, classes=2, per_class=20, sigma=1.0):
@@ -109,6 +112,77 @@ class TestEvaluatePredict:
         model = random_model(rng, "grlvq", n=6, n_classes=2)
         scalar = cost(data, model.protos, lambda v, w: d_lambda(v, w, model.rel), IDENTITY)
         assert dataset_cost(model, data, IDENTITY) == pytest.approx(scalar, rel=1e-9)
+
+
+class TestDistanceMatrix:
+    @staticmethod
+    def scalar_distances(model, X):
+        return np.array([[model.dist(x, w) for w in model.protos.vectors] for x in X])
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n_rows", [1, DIST_BLOCK_ROWS - 1, DIST_BLOCK_ROWS,
+                                        DIST_BLOCK_ROWS + 1])
+    def test_matches_scalar_metric_across_block_boundaries(self, kind, n_rows):
+        rng = np.random.default_rng(n_rows)
+        model = random_model(rng, kind, protos_per_class=1)
+        X = rng.normal(size=(n_rows, 5))
+        D = distance_matrix(model, X)
+        assert D.shape == (n_rows, model.protos.n_protos)
+        assert D == pytest.approx(self.scalar_distances(model, X), rel=1e-9)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_large_common_offset_does_not_cancel(self, kind):
+        rng = np.random.default_rng(61)
+        model = random_model(rng, kind)
+        model.protos.vectors += 1e6
+        X = rng.normal(size=(50, 5)) + 1e6
+        assert distance_matrix(model, X) == pytest.approx(
+            self.scalar_distances(model, X), rel=1e-9)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_row_equal_to_a_prototype_is_at_zero_and_wins(self, kind, offset):
+        rng = np.random.default_rng(67)
+        model = random_model(rng, kind)
+        model.protos.vectors += offset
+        W = model.protos.vectors
+        # rows on each prototype, then rows 1e-9 away, where the expansion
+        # rounds to tiny values of either sign before the clamp
+        near = [W] + [W + 1e-9 * rng.normal(size=W.shape) for _ in range(10)]
+        X = np.vstack([rng.normal(size=(20, 5)) + offset] + near)
+        D = distance_matrix(model, X)
+        assert np.all(D >= 0.0)
+        own = np.tile(np.arange(model.protos.n_protos), len(near))
+        assert D[20:][np.arange(own.size), own] == pytest.approx(0.0, abs=1e-9)
+        assert np.array_equal(np.argmin(D[20:], axis=1), own)
+        assert np.array_equal(predict(model, X)[20:], model.protos.labels[own])
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 3, 5), (4, 6)])
+    def test_wrong_shape_raises_dimension_mismatch(self, shape):
+        model = random_model(np.random.default_rng(71), "grlvq")
+        for fn in (distance_matrix, predict):
+            with pytest.raises(DimensionMismatch):
+                fn(model, np.zeros(shape))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_no_rows_give_empty_results(self, kind):
+        model = random_model(np.random.default_rng(73), kind)
+        assert distance_matrix(model, np.zeros((0, 5))).shape == (0, model.protos.n_protos)
+        assert predict(model, np.zeros((0, 5))).shape == (0,)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_predict_memory_is_bounded(self, kind):
+        # a per-pair (N, M, n) difference array alone would be 20000 * 20 * 50 * 8 = 160 MB
+        rng = np.random.default_rng(79)
+        model = random_model(rng, kind, n=50, n_classes=20, protos_per_class=1, m=10)
+        X = rng.normal(size=(20_000, 50))
+        tracemalloc.start()
+        try:
+            predict(model, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
 
 
 class TestTrainEpoch:
@@ -353,6 +427,49 @@ class TestModelSerialization:
         if kind == "gmlvq":
             assert np.array_equal(loaded.omega.omega, model.omega.omega)
         assert evaluate(loaded, data) == evaluate(model, data)
+
+
+class TestModelValidation:
+    @staticmethod
+    def model_dict(kind):
+        model = random_model(np.random.default_rng(83), kind, n_classes=2, protos_per_class=1)
+        model.label_names = ["a", "b"]
+        return json.loads(json.dumps(model.to_json_dict()))
+
+    CASES = {
+        "unknown-kind": ("glvq", lambda d: d.update(kind="lvq3")),
+        "grlvq-without-lambda": ("grlvq", lambda d: d.update({"lambda": None})),
+        "glvq-with-lambda": ("glvq", lambda d: d.update({"lambda": [0.2] * 5})),
+        "gmlvq-without-omega": ("gmlvq", lambda d: d.update(omega=None)),
+        "grlvq-with-omega": ("grlvq", lambda d: d.update(omega=[[0.2] * 5])),
+        "lambda-length": ("grlvq", lambda d: d["lambda"].pop()),
+        "omega-columns": ("gmlvq", lambda d: [row.pop() for row in d["omega"]]),
+        "omega-rows-gt-columns": ("gmlvq", lambda d: d.update(omega=[[0.1] * 5] * 6)),
+        "vector-length": ("glvq", lambda d: d.update(n_features=4)),
+        "labels-vs-vectors": ("glvq", lambda d: d["protos"]["labels"].pop()),
+        "label-without-a-name": ("glvq", lambda d: d.update(label_names=["a"])),
+        "negative-label": ("glvq", lambda d: d["protos"]["labels"].__setitem__(0, -1)),
+        "non-finite-vector": ("glvq", lambda d: d["protos"]["vectors"][0].__setitem__(0, float("nan"))),
+        "non-finite-lambda": ("grlvq", lambda d: d["lambda"].__setitem__(0, float("inf"))),
+        "non-finite-omega": ("gmlvq", lambda d: d["omega"][0].__setitem__(0, float("nan"))),
+        "missing-protos": ("glvq", lambda d: d.pop("protos")),
+        "protos-not-an-object": ("glvq", lambda d: d.update(protos=[1, 2])),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_bad_model_json_is_rejected(self, tmp_path, case):
+        kind, edit = self.CASES[case]
+        d = self.model_dict(kind)
+        edit(d)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(d))
+        with pytest.raises(ValueError):
+            load_model(path)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_valid_model_json_loads(self, kind):
+        d = self.model_dict(kind)
+        assert LVQModel.from_json_dict(d).to_json_dict() == d
 
 
 class TestConfusion:
