@@ -126,50 +126,62 @@ class SplitSpec:
 
 
 def load_csv(path, label_column: str) -> LabeledDataset:
-    """Read a labeled dataset from CSV; label column selected by header name."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [r for r in csv.reader(fh) if r]
-    if not rows:
-        raise EmptyFile(f"{path} is empty")
-    header = [h.strip() for h in rows[0]]
-    if label_column not in header:
-        raise MissingLabelColumn(
-            f"no column named {label_column!r}; header is {header}"
-        )
-    label_idx = header.index(label_column)
-    data_rows = rows[1:]
-    if not data_rows:
-        raise EmptyFile(f"{path} has a header but no data rows")
+    """Read a labeled dataset from CSV; label column selected by header name.
 
-    n = len(header) - 1
-    features = np.empty((len(data_rows), n))
-    raw_labels = []
-    for i, row in enumerate(data_rows):
-        if len(row) != len(header):
-            raise MalformedCell(i, len(row), f"expected {len(header)} cells, got {len(row)}")
-        k = 0
+    Numbers are parsed by numpy's C reader (format in the README). Errors
+    name the first bad cell in row-major order: ``row`` counts non-empty
+    data rows from 0 and ``col`` is the CSV column.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        lines = iter(fh.readline, "")  # iterating fh itself would disable fh.tell()
+        header = [h.strip() for h in next((r for r in csv.reader(lines) if r), [])]
+        if not header:
+            raise EmptyFile(f"{path} is empty")
+        if label_column not in header:
+            raise MissingLabelColumn(f"no column named {label_column!r}; header is {header}")
+        label_idx = header.index(label_column)
+        start = fh.tell()
+        if not any(line.strip("\r\n") for line in lines):
+            raise EmptyFile(f"{path} has a header but no data rows")
+        fh.seek(start)
+        # no usecols: it would turn off the reader's check of each row's cell count
+        mapping: dict[str, int] = {}
+        try:
+            table = np.loadtxt(
+                fh, delimiter=",", comments=None, quotechar='"', ndmin=2,
+                encoding="utf-8",  # numpy < 2 defaults to handing the converter bytes
+                converters={label_idx: lambda s: mapping.setdefault(s.strip(), len(mapping))})
+            if table.shape[1] != len(header):
+                raise ValueError(f"rows have {table.shape[1]} cells, header has {len(header)}")
+        except ValueError as exc:
+            fh.seek(start)
+            _raise_first_bad_cell(csv.reader(fh), len(header), label_idx)
+            raise DatasetError(f"{path}: {exc}") from exc
+    bad = np.argwhere(~np.isfinite(table))
+    if bad.size:
+        raise NonFiniteValue(*bad[0].tolist())
+    return LabeledDataset(np.delete(table, label_idx, axis=1), table[:, label_idx].astype(int),
+                          header[:label_idx] + header[label_idx + 1:], list(mapping))
+
+
+def _raise_first_bad_cell(rows, width: int, label_idx: int) -> None:
+    """Error path of load_csv: raise for the first ragged row, malformed
+    cell or non-finite cell, taking as a number what numpy's reader takes."""
+    for i, row in enumerate(r for r in rows if r):
+        if len(row) != width:
+            raise MalformedCell(i, len(row), f"expected {width} cells, got {len(row)}")
         for j, cell in enumerate(row):
             if j == label_idx:
-                raw_labels.append(cell.strip())
                 continue
+            core = cell.strip()
             try:
-                value = float(cell)
+                if not core.isascii() or "_" in core:  # float() takes both
+                    raise ValueError(core)
+                value = float(core)
             except ValueError:
                 raise MalformedCell(i, j, f"cannot parse {cell!r} as a number") from None
             if not math.isfinite(value):
                 raise NonFiniteValue(i, j)
-            features[i, k] = value
-            k += 1
-
-    mapping: dict[str, int] = {}
-    labels = np.empty(len(raw_labels), dtype=int)
-    for i, raw in enumerate(raw_labels):
-        if raw not in mapping:
-            mapping[raw] = len(mapping)
-        labels[i] = mapping[raw]
-
-    dim_names = [h for j, h in enumerate(header) if j != label_idx]
-    return LabeledDataset(features, labels, dim_names, list(mapping))
 
 
 def save_csv(data: LabeledDataset, path, label_column: str = "label",

@@ -6,15 +6,16 @@ The surrogate of |x| is (1/a) * log(2 + exp(-a*x) + exp(a*x)) for a
 sharpness parameter a > 0. It overestimates |x| by at most 2*log(2)/a and
 has the closed-form derivative tanh(a*x/2). The matrix norm surrogate
 replaces the exact max over column sums by a left-to-right fold of a
-smooth two-argument max; the fold order matters because the smooth max is
-not associative, so it is fixed here and mirrored by the analytic
-gradient.
+smooth two-argument max. That max is (1/a) * log(exp(a*x) + exp(a*y)), so
+it is associative and the fold equals (1/a) * logsumexp(a * sums); the
+column-by-column loop stays only until it is replaced by that closed form.
 
 All functions are pure and operate on plain floats or numpy arrays.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -28,7 +29,7 @@ _SANDWICH_RTOL = 1e-12
 
 def _check_alpha(alpha: float) -> float:
     alpha = float(alpha)
-    if not np.isfinite(alpha) or alpha <= 0.0:
+    if not math.isfinite(alpha) or alpha <= 0.0:
         raise ValueError(f"sharpness alpha must be positive and finite, got {alpha}")
     return alpha
 
@@ -77,26 +78,31 @@ def matrix_l1_exact(mat) -> float:
     return float(np.max(np.sum(np.abs(m), axis=0)))
 
 
-def _smoothed_column_sums(om: np.ndarray, alpha: float) -> np.ndarray:
-    return np.sum(abs_smooth(om, alpha), axis=0)
+def _fold(omega, alpha: float):
+    """Checked alpha and matrix, smoothed column sums, and the fold value
+    after each column, kept in Python floats (numpy scalars cost more)."""
+    alpha = _check_alpha(alpha)
+    om = np.asarray(omega, dtype=float)
+    if om.ndim != 2:
+        raise ValueError(f"expected a 2-D matrix, got shape {om.shape}")
+    sums = np.sum(abs_smooth(om, alpha), axis=0)
+    prefix = [float(sums[0])]
+    for s in sums[1:].tolist():
+        acc = prefix[-1]
+        prefix.append(0.5 * (acc + s + float(abs_smooth(acc - s, alpha))))
+    return alpha, om, sums, prefix
 
 
 def matrix_l1_smooth(omega, alpha: float = DEFAULT_ALPHA) -> float:
     """Smooth surrogate of the max-column-sum norm of a matrix.
 
     Column sums use abs_smooth entries; the max over columns is a
-    left-to-right fold of :func:`smooth_max` (column 0 first). The error
-    against the exact norm vanishes as alpha grows.
+    left-to-right fold of :func:`smooth_max` (column 0 first), which
+    equals ``logsumexp(alpha * sums) / alpha`` because the smooth max is
+    associative. The error against the exact norm vanishes as alpha grows.
     """
-    alpha = _check_alpha(alpha)
-    om = np.asarray(omega, dtype=float)
-    if om.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {om.shape}")
-    sums = _smoothed_column_sums(om, alpha)
-    acc = float(sums[0])
-    for s in sums[1:]:
-        acc = 0.5 * (acc + s + float(abs_smooth(acc - s, alpha)))
-    return acc
+    *_, prefix = _fold(omega, alpha)
+    return prefix[-1]
 
 
 def matrix_l1_smooth_grad(omega, alpha: float = DEFAULT_ALPHA) -> np.ndarray:
@@ -105,34 +111,15 @@ def matrix_l1_smooth_grad(omega, alpha: float = DEFAULT_ALPHA) -> np.ndarray:
     Exact chain rule through the fold: the forward pass records the
     running fold value before each merge, the backward pass propagates
     one factor (1 +- tanh)/2 per merge down to the smoothed column sums,
-    and each column sensitivity multiplies tanh(alpha*entry/2).
+    and each column sensitivity multiplies tanh(alpha*entry/2). The
+    result equals ``softmax(alpha * sums)[c] * tanh(alpha*entry/2)``.
     """
-    alpha = _check_alpha(alpha)
-    om = np.asarray(omega, dtype=float)
-    if om.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {om.shape}")
-    m, n = om.shape
-    sums = _smoothed_column_sums(om, alpha)
-
-    prefix = np.empty(n)  # fold value after consuming columns 0..j
-    acc = float(sums[0])
-    prefix[0] = acc
-    for j in range(1, n):
-        s = sums[j]
-        acc = 0.5 * (acc + s + float(abs_smooth(acc - s, alpha)))
-        prefix[j] = acc
-
-    dsums = np.empty(n)
-    if n == 1:
-        dsums[0] = 1.0
-    else:
-        t = np.tanh(0.5 * alpha * (prefix[:-1] - sums[1:]))  # one value per merge
-        up = 0.5 * (1.0 + t)    # d(merge)/d(previous fold value)
-        down = 0.5 * (1.0 - t)  # d(merge)/d(incoming column sum)
-        suffix = np.cumprod(up[::-1])[::-1]
-        dsums[0] = suffix[0]
-        dsums[1:-1] = down[:-1] * suffix[1:]
-        dsums[-1] = down[-1]
+    alpha, om, sums, prefix = _fold(omega, alpha)
+    t = np.tanh(0.5 * alpha * (np.array(prefix[:-1]) - sums[1:]))  # one value per merge
+    up = 0.5 * (1.0 + t)    # d(merge)/d(previous fold value)
+    down = 0.5 * (1.0 - t)  # d(merge)/d(incoming column sum)
+    # column c joins at merge c - 1 (column 0 starts the fold), then passes every later one
+    dsums = np.append(1.0, down) * np.append(np.cumprod(up[::-1])[::-1], 1.0)
     return dsums[np.newaxis, :] * np.tanh(0.5 * alpha * om)
 
 

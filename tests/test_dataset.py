@@ -23,10 +23,12 @@ from sparselvq.dataset import (
     synth_sparse,
 )
 
+from csv_oracle import load_csv_per_cell
+
 
 def write(tmp_path, text, name="data.csv"):
     p = tmp_path / name
-    p.write_text(text)
+    p.write_text(text, encoding="utf-8", newline="")
     return p
 
 
@@ -89,6 +91,97 @@ class TestLoadCsv:
         p = write(tmp_path, "label,f0,f1\n0,1.0,2.0\n1,3.0,4.0\n")
         data = load_csv(p, "label")
         assert np.array_equal(data.features, [[1.0, 2.0], [3.0, 4.0]])
+
+
+OK = "ok"
+
+
+def outcome(loader, path, label_column="label"):
+    """What a loader gives: the dataset's fields, or the error and its cell."""
+    try:
+        d = loader(path, label_column)
+    except DatasetError as exc:
+        return type(exc), getattr(exc, "row", None), getattr(exc, "col", None)
+    return OK, d.features.shape, d.features.tobytes(), d.labels.tolist(), d.dim_names, d.label_names
+
+
+# (text, expected): OK, or the error type with its (row, col)
+PARITY_CORPUS = {
+    "label-first": ("label,f0,f1\na,1,2\nb,3,4\na,5,6\n", OK),
+    "label-middle": ("f0,label,f1\n1,a,2\n3,b,4\n", OK),
+    "label-last": ("f0,f1,label\n1,2,b\n3,4,a\n", OK),
+    "label-only": ("label\na\nb\na\n", OK),
+    "quoted": ('f0,f1,label\n"1.5",2,"x,y"\n3,"4e1",z\n5,6,"x,y"\n"7",8,"say ""hi"""\n', OK),
+    "quoted-header": ('"f0","f,1",label\n1,2,a\n', OK),
+    "crlf-blank-lines": ("\r\nf0,f1,label\r\n1,2,a\r\n\r\n3,4,b\r\n\r\n", OK),
+    "whitespace": ("f0 , f1,label\n 1.0 ,\t2\t, a \n3,4,a\n", OK),
+    "exponents": ("f0,f1,label\n1e-8,2.5E+3,a\n-3e0,4.,b\n0.1e-0009,1E5,a\n", OK),
+    "signed-fraction": ("f0,f1,label\n+.5,-.25,a\n", OK),
+    "empty-cell": ("f0,f1,label\n1,2,a\n1,,a\n", (MalformedCell, 1, 1)),
+    "blank-quoted-cell": ('f0,f1,label\n1,"",a\n', (MalformedCell, 0, 1)),
+    "nan": ("f0,f1,label\n1,nan,a\n", (NonFiniteValue, 0, 1)),
+    "inf": ("label,f0,f1\na,inf,1\n", (NonFiniteValue, 0, 1)),
+    "minus-infinity": ("f0,f1,label\n1,2,a\n3,-Infinity,b\n", (NonFiniteValue, 1, 1)),
+    "overflow-to-inf": ("f0,f1,label\n1e400,2,a\n", (NonFiniteValue, 0, 0)),
+    "text-cell": ("f0,f1,label\n1,2,a\n3,abc,b\n", (MalformedCell, 1, 1)),
+    "ragged-short": ("f0,f1,label\n1,2,a\n3,b\n", (MalformedCell, 1, 2)),
+    "ragged-long": ("f0,f1,label\n1,2,a\n3,4,b,9\n", (MalformedCell, 1, 4)),
+    "every-row-long": ("f0,f1,label\n1,2,a,9\n3,4,b,9\n", (MalformedCell, 0, 4)),
+    "whitespace-only-line": ("f0,f1,label\n1,2,a\n   \n", (MalformedCell, 1, 1)),
+    "non-finite-before-bad-cell": ("f0,f1,label\n1,nan,a\n2,3,b\n4,x,c\n", (NonFiniteValue, 0, 1)),
+    "bad-cell-before-ragged-row": ("f0,f1,label\n1,x,a\n2,3\n", (MalformedCell, 0, 1)),
+    "ragged-row-before-non-finite": ("f0,f1,label\n1,2\n3,inf,b\n", (MalformedCell, 0, 2)),
+    "bad-cell-before-non-finite-in-row": ("f0,f1,label\nx,inf,a\n", (MalformedCell, 0, 0)),
+    "no-label-column": ("f0,f1\n1,2\n", (MissingLabelColumn, None, None)),
+    "empty": ("", (EmptyFile, None, None)),
+    "blank-lines-only": ("\n\r\n\n", (EmptyFile, None, None)),
+    "header-only": ("f0,label\n\n\n", (EmptyFile, None, None)),
+}
+
+
+class TestLoaderParity:
+    """load_csv against the per-cell reference loader in csv_oracle."""
+
+    @pytest.mark.parametrize("case", sorted(PARITY_CORPUS))
+    def test_same_result_or_same_error_cell(self, tmp_path, case):
+        text, expected = PARITY_CORPUS[case]
+        p = write(tmp_path, text)
+        got = outcome(load_csv, p)
+        assert got == outcome(load_csv_per_cell, p)
+        assert got[0] == OK if expected is OK else got == expected
+
+    def test_save_csv_round_trip(self, tmp_path):
+        rng = np.random.default_rng(11)
+        feats = rng.standard_normal((40, 9)) * np.logspace(-8, 8, 9)
+        data = LabeledDataset(feats, rng.integers(0, 3, size=40),
+                              [f"band {i}" for i in range(9)], ["b,x", "a", "c"])
+        p = tmp_path / "rt.csv"
+        save_csv(data, p)
+        got = outcome(load_csv, p)
+        assert got == outcome(load_csv_per_cell, p)
+        assert got[2] == data.features.tobytes()
+
+    def test_digit_separator_is_the_one_difference(self, tmp_path):
+        # float() reads "1_0" as 10.0; numpy's reader, and so load_csv, refuse it
+        p = write(tmp_path, "f0,f1,label\n1,1_0,a\n")
+        assert load_csv_per_cell(p, "label").features[0, 1] == 10.0
+        assert outcome(load_csv, p) == (MalformedCell, 0, 1)
+
+    @pytest.mark.parametrize("cell", [
+        "1_0", "1.5_0", "1e1_0", "\xa01", "1\u2000", "\x1c1", "\x0b1 ",
+        "\uff11", "\u0663.\u0665", " +.5 ", "1e", "0x1", "1d0", "nan(1)",
+    ])
+    def test_error_path_takes_exactly_what_the_reader_takes(self, tmp_path, cell):
+        # Row 1 is always bad, so the C reader fails and the error path
+        # scans from row 0: it must stop at row 0 exactly when the reader
+        # refuses the cell there.
+        try:
+            np.loadtxt([cell], delimiter=",", comments=None, quotechar='"', encoding="utf-8")
+            taken = True
+        except ValueError:
+            taken = False
+        p = write(tmp_path, f"f0,label\n{cell},a\nx,b\n")
+        assert outcome(load_csv, p) == (MalformedCell, 1 if taken else 0, 0)
 
 
 class TestRoundTrip:

@@ -211,6 +211,28 @@ class TestMatrixL1SmoothGrad:
         print(f"\nclosed-form vs fold gradient, max abs discrepancy: {worst:.6f}")
 
 
+class TestLogSumExpIdentity:
+    """The smooth max is (1/a) ln(e^{a x} + e^{a y}), so the fold over the
+    smoothed column sums s is logsumexp(a s) / a and its gradient is
+    softmax(a s)[c] * tanh(a O / 2), whatever the column order."""
+
+    @staticmethod
+    def column_sums(om, alpha):
+        # |x|_a = (2/a) ln(2 cosh(a x / 2)), written without abs_smooth
+        return (2.0 / alpha) * np.logaddexp(0.5 * alpha * om, -0.5 * alpha * om).sum(axis=0)
+
+    @pytest.mark.parametrize("alpha", [0.5, 5.0, 50.0])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (4, 1), (3, 4), (20, 200)])
+    def test_value_and_gradient(self, alpha, shape):
+        rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+        om = rng.normal(scale=0.7, size=shape)
+        s = self.column_sums(om, alpha)
+        lse = np.logaddexp.reduce(alpha * s)
+        assert matrix_l1_smooth(om, alpha) == pytest.approx(lse / alpha, rel=1e-12, abs=0)
+        expected = np.exp(alpha * s - lse)[np.newaxis, :] * np.tanh(0.5 * alpha * om)
+        assert np.max(np.abs(matrix_l1_smooth_grad(om, alpha) - expected)) <= 1e-12
+
+
 class TestSandwich:
     def test_identity(self):
         n = 4
