@@ -100,9 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--reg-end", type=float, default=1.0)
             p.add_argument("--reg-steps", type=int, default=20)
             p.add_argument("--epochs-per-step", type=int, default=10)
-            p.set_defaults(func=cmd_path)
-        else:
-            p.set_defaults(func=cmd_train)
+        p.set_defaults(func=cmd_run)
 
     p_eval = sub.add_parser("eval", help="evaluate a saved model on a dataset")
     p_eval.add_argument("--model", required=True, help="model JSON")
@@ -251,16 +249,10 @@ def _execute_run(manifest: dict) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    manifest = (_manifest_from_file(args, "train") if args.manifest
-                else _manifest_from_args(args, "train"))
-    return _execute_run(manifest)
-
-
-def cmd_path(args) -> int:
-    manifest = (_manifest_from_file(args, "path") if args.manifest
-                else _manifest_from_args(args, "path"))
-    return _execute_run(manifest)
+def cmd_run(args) -> int:
+    """`train` and `path`: build or replay the manifest, then run it."""
+    read = _manifest_from_file if args.manifest else _manifest_from_args
+    return _execute_run(read(args, args.command))
 
 
 def cmd_eval(args) -> int:

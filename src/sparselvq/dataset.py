@@ -197,8 +197,9 @@ def save_csv(data: LabeledDataset, path, label_column: str = "label",
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(dim_names) + [label_column])
-        for row, lab in zip(data.features, data.labels):
-            writer.writerow([repr(float(x)) for x in row] + [label_names[lab]])
+        # csv.writer formats a Python float with str(), its shortest round-trip form
+        for row, lab in zip(data.features, data.labels.tolist()):
+            writer.writerow(row.tolist() + [label_names[lab]])
     meta = {
         "label_column": label_column,
         "label_names": label_names,

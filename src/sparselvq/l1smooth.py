@@ -123,55 +123,6 @@ def matrix_l1_smooth_grad(omega, alpha: float = DEFAULT_ALPHA) -> np.ndarray:
     return dsums[np.newaxis, :] * np.tanh(0.5 * alpha * om)
 
 
-def matrix_l1_smooth_grad_closed_form(omega, alpha: float = DEFAULT_ALPHA) -> np.ndarray:
-    """Closed-form gradient estimate ``tanh(alpha*x/2)/2 - T/2`` per entry.
-
-    Secondary evaluator kept for comparison against the fold gradient;
-    :func:`matrix_l1_smooth_grad` is the one verified against finite
-    differences and used in training. This form is numerically fragile
-    when alpha times the partial column sums gets large.
-    """
-    alpha = _check_alpha(alpha)
-    om = np.asarray(omega, dtype=float)
-    m, n = om.shape
-    smoothed = abs_smooth(om, alpha)
-    sums = smoothed.sum(axis=0)
-
-    # max over the *other* columns, per column
-    order = np.argsort(sums)
-    top, second = order[-1], (order[-2] if n > 1 else order[-1])
-    max_other = np.where(np.arange(n) == top, sums[second], sums[top])
-    if n == 1:
-        max_other = np.zeros(1)
-
-    partial = sums[np.newaxis, :] - smoothed  # column sum without the own entry
-    bar = partial - max_other[np.newaxis, :]
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        e_sum = np.exp(-alpha * (om + bar))
-        sq = (1.0 + np.exp(alpha * om)) ** 2
-        numer = (
-            e_sum
-            * (np.exp(2.0 * alpha * om) - 1.0)
-            * (np.exp(2.0 * alpha * bar) - np.exp(2.0 * alpha * om) / sq**2)
-        )
-        denom = (
-            2.0
-            + np.exp(-alpha * (om - bar))
-            + np.exp(alpha * (om + bar))
-            + np.exp(alpha * (om - bar)) / sq
-        )
-        t_term = numer / denom
-    return 0.5 * np.tanh(0.5 * alpha * om) - 0.5 * t_term
-
-
-def matrix_grad_discrepancy(omega, alpha: float = DEFAULT_ALPHA) -> float:
-    """Max absolute difference between the fold gradient and the closed form."""
-    primary = matrix_l1_smooth_grad(omega, alpha)
-    secondary = matrix_l1_smooth_grad_closed_form(omega, alpha)
-    return float(np.max(np.abs(primary - secondary)))
-
-
 class SandwichBounds(NamedTuple):
     lower: float
     middle: float

@@ -2,9 +2,14 @@
 
 Two families: a per-dimension weighting (relevance profile, diagonal
 metric) and a full linear projection (m x n matrix, metric = O^T O).
-Distance and gradient evaluations are pure; clamp/normalize return new
-wrapper objects and are meant to run inside the single-threaded training
-step.
+Each class owns its maths: distances (one pair, or one sample against
+many prototypes), the projection that turns the metric into the squared
+Euclidean distance, the gradients, the smooth l1 penalty and the
+clamp/normalize step. The methods reach the module functions below and
+`l1smooth` by global lookup, so those stay the single implementation.
+Distance and gradient evaluations are pure; `stepped` and the
+clamp/normalize functions return new wrapper objects and are meant to
+run inside the single-threaded training step.
 """
 
 from __future__ import annotations
@@ -12,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import l1smooth
 
 
 class DimensionMismatch(ValueError):
@@ -41,6 +48,42 @@ class RelevanceProfile:
     def n_dims(self) -> int:
         return self.lam.size
 
+    @property
+    def params(self) -> np.ndarray:
+        return self.lam
+
+    def profile(self) -> np.ndarray:
+        """Effective per-dimension relevance weights (unit square sum)."""
+        return self.lam
+
+    def dists(self, diff: np.ndarray) -> np.ndarray:
+        """Distances for the rows of an (M, n) difference array."""
+        return diff**2 @ self.lam**2
+
+    def project(self, A: np.ndarray) -> np.ndarray:
+        """A * lambda, in place: the distance becomes the squared Euclidean one."""
+        A *= self.lam
+        return A
+
+    def dist(self, v, w) -> float:
+        return d_lambda(v, w, self)
+
+    def proto_grad(self, v, w) -> np.ndarray:
+        return grad_proto_lambda(v, w, self)
+
+    def param_grad(self, v, w) -> np.ndarray:
+        return grad_lambda(v, w, self)
+
+    def penalty(self, alpha: float) -> float:
+        return l1smooth.l1_smooth(self.lam, alpha)
+
+    def penalty_grad(self, alpha: float) -> np.ndarray:
+        return l1smooth.abs_smooth_grad(self.lam, alpha)
+
+    def stepped(self, params) -> "RelevanceProfile":
+        """The profile `params`, clamped at zero and normalized."""
+        return normalize_lambda(clamp_lambda(RelevanceProfile(params)))
+
 
 @dataclass
 class OmegaMatrix:
@@ -64,73 +107,83 @@ class OmegaMatrix:
     def n_dims(self) -> int:
         return self.omega.shape[1]
 
+    @property
+    def params(self) -> np.ndarray:
+        return self.omega
 
-def _delta(v, w) -> np.ndarray:
+    def profile(self) -> np.ndarray:
+        """Column norms of Omega: the per-dimension relevance weights."""
+        return np.sqrt(np.sum(self.omega**2, axis=0))
+
+    def dists(self, diff: np.ndarray) -> np.ndarray:
+        """Distances for the rows of an (M, n) difference array."""
+        p = diff @ self.omega.T  # (M, m)
+        return np.einsum("ij,ij->i", p, p)
+
+    def project(self, A: np.ndarray) -> np.ndarray:
+        """A @ Omega^T: the distance becomes the squared Euclidean one."""
+        return A @ self.omega.T
+
+    def dist(self, v, w) -> float:
+        return d_omega(v, w, self)
+
+    def proto_grad(self, v, w) -> np.ndarray:
+        return grad_proto_omega(v, w, self)
+
+    def param_grad(self, v, w) -> np.ndarray:
+        return grad_omega(v, w, self)
+
+    def penalty(self, alpha: float) -> float:
+        return l1smooth.matrix_l1_smooth(self.omega, alpha)
+
+    def penalty_grad(self, alpha: float) -> np.ndarray:
+        return l1smooth.matrix_l1_smooth_grad(self.omega, alpha)
+
+    def stepped(self, params) -> "OmegaMatrix":
+        """The projection `params`, normalized."""
+        return normalize_omega(OmegaMatrix(params))
+
+
+def _delta(v, w, met: RelevanceProfile | OmegaMatrix) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
     if v.shape != w.shape:
         raise DimensionMismatch(f"vector shapes differ: {v.shape} vs {w.shape}")
+    if v.shape != (met.n_dims,):
+        raise DimensionMismatch(f"metric has {met.n_dims} dims, vectors have shape {v.shape}")
     return v - w
 
 
 def d_lambda(v, w, rel: RelevanceProfile) -> float:
     """Weighted squared distance sum(lam_i^2 * (v_i - w_i)^2)."""
-    delta = _delta(v, w)
-    if rel.lam.shape != delta.shape:
-        raise DimensionMismatch(
-            f"profile has {rel.n_dims} dims, vectors have {delta.size}"
-        )
+    delta = _delta(v, w, rel)
     return float(np.dot(rel.lam**2, delta**2))
 
 
 def d_omega(v, w, om: OmegaMatrix) -> float:
     """Squared Euclidean norm of the projected difference O(v - w)."""
-    delta = _delta(v, w)
-    if om.n_dims != delta.size:
-        raise DimensionMismatch(
-            f"projection has {om.n_dims} columns, vectors have {delta.size}"
-        )
-    p = om.omega @ delta
+    p = om.omega @ _delta(v, w, om)
     return float(np.dot(p, p))
 
 
 def grad_proto_lambda(v, w, rel: RelevanceProfile) -> np.ndarray:
     """d d_lambda / d w, i.e. -2 * lam^2 * (v - w)."""
-    delta = _delta(v, w)
-    if rel.lam.shape != delta.shape:
-        raise DimensionMismatch(
-            f"profile has {rel.n_dims} dims, vectors have {delta.size}"
-        )
-    return -2.0 * rel.lam**2 * delta
+    return -2.0 * rel.lam**2 * _delta(v, w, rel)
 
 
 def grad_proto_omega(v, w, om: OmegaMatrix) -> np.ndarray:
     """d d_omega / d w, i.e. -2 * O^T O (v - w)."""
-    delta = _delta(v, w)
-    if om.n_dims != delta.size:
-        raise DimensionMismatch(
-            f"projection has {om.n_dims} columns, vectors have {delta.size}"
-        )
-    return -2.0 * (om.omega.T @ (om.omega @ delta))
+    return -2.0 * (om.omega.T @ (om.omega @ _delta(v, w, om)))
 
 
 def grad_lambda(v, w, rel: RelevanceProfile) -> np.ndarray:
     """Componentwise d d_lambda / d lam_j = 2 * lam_j * (v_j - w_j)^2."""
-    delta = _delta(v, w)
-    if rel.lam.shape != delta.shape:
-        raise DimensionMismatch(
-            f"profile has {rel.n_dims} dims, vectors have {delta.size}"
-        )
-    return 2.0 * rel.lam * delta**2
+    return 2.0 * rel.lam * _delta(v, w, rel)**2
 
 
 def grad_omega(v, w, om: OmegaMatrix) -> np.ndarray:
     """Entrywise d d_omega / d O_rc = 2 * [O(v - w)]_r * (v - w)_c."""
-    delta = _delta(v, w)
-    if om.n_dims != delta.size:
-        raise DimensionMismatch(
-            f"projection has {om.n_dims} columns, vectors have {delta.size}"
-        )
+    delta = _delta(v, w, om)
     return 2.0 * np.outer(om.omega @ delta, delta)
 
 

@@ -2,10 +2,11 @@
 
 One epoch is a pass over a seeded random permutation of the training
 samples. Each sample: winner search under the current metric, gradient
-step on the two winning prototypes, then (for grlvq/gmlvq) one combined
-metric step of the data-term gradient plus reg_weight times the smooth
-l1 gradient, followed by clamp (profile case) and renormalization. The
-path driver ramps reg_weight linearly and snapshots the model per step.
+step on the two winning prototypes, then one combined metric step of the
+data-term gradient plus reg_weight times the smooth l1 gradient, followed
+by clamp (profile case) and renormalization. GLVQ is GRLVQ with the
+profile frozen at uniform: it takes no metric step. `run_path` ramps
+reg_weight linearly and snapshots the model per step.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .glvq import (
     TransferFn,
     classifier_mu,
     init_prototypes,
-    sq_euclidean,
     winners_from_distances,
     xi_factors,
 )
@@ -136,31 +136,44 @@ class EpochMetrics:
 
 @dataclass
 class LVQModel:
+    """Labeled prototypes and one metric: `omega` for gmlvq, else `rel`.
+
+    A glvq model holds the uniform profile, filled in here; training
+    keeps it frozen and model files leave it out.
+    """
+
     kind: str
     protos: PrototypeSet
     rel: RelevanceProfile | None = None
     omega: OmegaMatrix | None = None
     label_names: list[str] | None = None
 
+    def __post_init__(self):
+        if self.kind == "glvq" and self.rel is None:
+            self.rel = RelevanceProfile.uniform(self.n_features)
+
     @property
     def n_features(self) -> int:
         return self.protos.n_features
 
+    @property
+    def metric(self) -> RelevanceProfile | OmegaMatrix:
+        return self.rel if self.omega is None else self.omega
+
+    @metric.setter
+    def metric(self, met: RelevanceProfile | OmegaMatrix) -> None:
+        if self.omega is None:
+            self.rel = met
+        else:
+            self.omega = met
+
     def profile(self) -> np.ndarray:
         """Effective per-dimension relevance weights (unit square sum)."""
-        if self.kind == "grlvq":
-            return self.rel.lam
-        if self.kind == "gmlvq":
-            return np.sqrt(np.sum(self.omega.omega**2, axis=0))
-        return np.full(self.n_features, 1.0 / np.sqrt(self.n_features))
+        return self.metric.profile()
 
     def dist(self, v, w) -> float:
         """Scalar dissimilarity under the model's current metric."""
-        if self.kind == "grlvq":
-            return metric.d_lambda(v, w, self.rel)
-        if self.kind == "gmlvq":
-            return metric.d_omega(v, w, self.omega)
-        return sq_euclidean(v, w)
+        return self.metric.dist(v, w)
 
     def copy(self) -> "LVQModel":
         return LVQModel(
@@ -176,7 +189,7 @@ class LVQModel:
             "kind": self.kind,
             "n_features": self.n_features,
             "protos": self.protos.to_json_dict(),
-            "lambda": self.rel.lam.tolist() if self.rel else None,
+            "lambda": self.rel.lam.tolist() if self.kind == "grlvq" else None,
             "omega": self.omega.omega.tolist() if self.omega else None,
             "label_names": self.label_names,
         }
@@ -262,31 +275,14 @@ def init_model(data: LabeledDataset, config: TrainConfig,
 
 def _dists_to_protos(model: LVQModel, v: np.ndarray) -> np.ndarray:
     """Distances from one sample to all prototypes, vectorized over rows."""
-    diff = v - model.protos.vectors  # (M, n)
-    if model.kind == "grlvq":
-        return diff**2 @ model.rel.lam**2
-    if model.kind == "gmlvq":
-        p = diff @ model.omega.omega.T  # (M, m)
-        return np.einsum("ij,ij->i", p, p)
-    return np.einsum("ij,ij->i", diff, diff)
-
-
-def _project(model: LVQModel, A: np.ndarray) -> np.ndarray:
-    """Rows of A mapped so that the model distance becomes the squared
-    Euclidean one: A * lambda (grlvq, in place), A @ Omega^T (gmlvq), A (glvq)."""
-    if model.kind == "grlvq":
-        A *= model.rel.lam
-        return A
-    if model.kind == "gmlvq":
-        return A @ model.omega.omega.T
-    return A
+    return model.metric.dists(v - model.protos.vectors)
 
 
 def distance_matrix(model: LVQModel, X: np.ndarray) -> np.ndarray:
     """(N, M) distances between the rows of X and the prototypes.
 
-    Every metric is a projection P (diag(lambda), Omega or the identity),
-    so d(x, w) = ||P x - P w||^2 = ||p||^2 - 2 p.q + ||q||^2. Both sides
+    Every metric is a projection P (diag(lambda) or Omega), so
+    d(x, w) = ||P x - P w||^2 = ||p||^2 - 2 p.q + ||q||^2. Both sides
     are first centred on the prototype mean, which leaves distances
     unchanged but keeps a large common offset (raw reflectance, say) from
     cancelling in that expansion. Rows are centred, projected and expanded
@@ -306,14 +302,15 @@ def distance_matrix(model: LVQModel, X: np.ndarray) -> np.ndarray:
             f"model expects {model.n_features} features, data has {X.shape[1]}"
         )
     W = model.protos.vectors
+    met = model.metric
     centre = W.mean(axis=0)
-    Q = _project(model, W - centre)
+    Q = met.project(W - centre)
     q_sq = np.einsum("ij,ij->i", Q, Q)
     out = np.empty((X.shape[0], W.shape[0]))
     buf = np.empty((min(X.shape[0], DIST_BLOCK_ROWS), X.shape[1]))
     for start in range(0, X.shape[0], DIST_BLOCK_ROWS):
         rows = X[start:start + DIST_BLOCK_ROWS]
-        P = _project(model, np.subtract(rows, centre, out=buf[:rows.shape[0]]))
+        P = met.project(np.subtract(rows, centre, out=buf[:rows.shape[0]]))
         block = out[start:start + DIST_BLOCK_ROWS]
         # einsum, not P @ Q.T: the (rows, M) product is too small to gain from
         # multithreaded BLAS, whose thread wake-ups stall on a loaded machine
@@ -366,9 +363,7 @@ def dataset_cost(model: LVQModel, data: LabeledDataset, f: TransferFn) -> float:
 
 def reg_term_of(model: LVQModel, alpha: float) -> float:
     """Smooth l1 regularizer value for the model's metric parameters."""
-    if model.kind == "gmlvq":
-        return l1smooth.matrix_l1_smooth(model.omega.omega, alpha)
-    return l1smooth.l1_smooth(model.profile(), alpha)
+    return model.metric.penalty(alpha)
 
 
 def regularized_objective(model: LVQModel, data: LabeledDataset, f: TransferFn,
@@ -394,7 +389,7 @@ def train_epoch(
     """
     decay = 1.0 / (1.0 + config.rate_decay * t)
     rate_p = config.rate_proto * decay
-    rate_m = config.rate_metric * decay
+    rate_m = 0.0 if model.kind == "glvq" else config.rate_metric * decay  # frozen profile
     f = config.transfer
     X, y = train_data.features, train_data.labels
     W = model.protos.vectors
@@ -409,45 +404,26 @@ def train_epoch(
             continue
         mu = classifier_mu(win.d_plus, win.d_minus)
         xp, xm = xi_factors(win.d_plus, win.d_minus, f, mu)
-        wp, wm = W[win.idx_plus], W[win.idx_minus]
+        wp, wm = W[win.idx_plus], W[win.idx_minus]  # views: W changes below
+        met = model.metric
 
         # all gradients taken at the pre-step state
-        if model.kind == "grlvq":
-            gp = metric.grad_proto_lambda(v, wp, model.rel)
-            gm = metric.grad_proto_lambda(v, wm, model.rel)
-            g_metric = xp * metric.grad_lambda(v, wp, model.rel) \
-                + xm * metric.grad_lambda(v, wm, model.rel)
+        gp = met.proto_grad(v, wp)
+        gm = met.proto_grad(v, wm)
+        if rate_m:
+            g_metric = xp * met.param_grad(v, wp) + xm * met.param_grad(v, wm)
             if reg_weight:
-                g_metric += reg_weight * l1smooth.abs_smooth_grad(model.rel.lam, alpha)
-        elif model.kind == "gmlvq":
-            gp = metric.grad_proto_omega(v, wp, model.omega)
-            gm = metric.grad_proto_omega(v, wm, model.omega)
-            g_metric = xp * metric.grad_omega(v, wp, model.omega) \
-                + xm * metric.grad_omega(v, wm, model.omega)
-            if reg_weight:
-                g_metric += reg_weight * l1smooth.matrix_l1_smooth_grad(model.omega.omega, alpha)
-        else:
-            gp = -2.0 * (v - wp)
-            gm = -2.0 * (v - wm)
-            g_metric = None
+                g_metric += reg_weight * met.penalty_grad(alpha)
 
         W[win.idx_plus] -= rate_p * xp * gp
         W[win.idx_minus] -= rate_p * xm * gm
         ok = np.all(np.isfinite(W[win.idx_plus])) and np.all(np.isfinite(W[win.idx_minus]))
 
-        if g_metric is not None and rate_m:
-            if model.kind == "grlvq":
-                lam = model.rel.lam - rate_m * g_metric
-                ok = ok and np.all(np.isfinite(lam))
-                if ok:
-                    model.rel = metric.normalize_lambda(
-                        metric.clamp_lambda(RelevanceProfile(lam))
-                    )
-            else:
-                om = model.omega.omega - rate_m * g_metric
-                ok = ok and np.all(np.isfinite(om))
-                if ok:
-                    model.omega = metric.normalize_omega(OmegaMatrix(om))
+        if ok and rate_m:
+            params = met.params - rate_m * g_metric
+            ok = np.all(np.isfinite(params))
+            if ok:
+                model.metric = met.stepped(params)
         if not ok:
             raise NonFiniteUpdate(
                 t * train_data.n_samples + step,
@@ -455,7 +431,7 @@ def train_epoch(
                 f"rates ({rate_p:g}, {rate_m:g}), d+ {win.d_plus:g}, d- {win.d_minus:g}",
             )
 
-    if model.kind == "gmlvq":
+    if model.omega is not None:
         det = metric.det_metric(model.omega)
         if det is not None and det < DET_WARN_THRESHOLD:
             logger.warning("metric determinant %.3e below %.1e at epoch %d",

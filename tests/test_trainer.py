@@ -157,6 +157,16 @@ class TestDistanceMatrix:
         assert np.array_equal(np.argmin(D[20:], axis=1), own)
         assert np.array_equal(predict(model, X)[20:], model.protos.labels[own])
 
+    def test_glvq_distance_is_squared_euclidean_over_n(self):
+        # glvq is grlvq with the uniform profile, so every lam_i^2 is 1/n
+        rng = np.random.default_rng(89)
+        model = random_model(rng, "glvq", n=7)
+        X = rng.normal(size=(30, 7))
+        euclid = np.sum((X[:, np.newaxis, :] - model.protos.vectors) ** 2, axis=2)
+        np.testing.assert_allclose(self.scalar_distances(model, X), euclid / 7, rtol=1e-12)
+        np.testing.assert_allclose(distance_matrix(model, X), euclid / 7, rtol=1e-12)
+        assert np.array_equal(predict(model, X), model.protos.labels[np.argmin(euclid, axis=1)])
+
     @pytest.mark.parametrize("shape", [(5,), (2, 3, 5), (4, 6)])
     def test_wrong_shape_raises_dimension_mismatch(self, shape):
         model = random_model(np.random.default_rng(71), "grlvq")
@@ -422,7 +432,11 @@ class TestModelSerialization:
         loaded = load_model(path)
         assert loaded.kind == kind
         assert np.array_equal(loaded.protos.vectors, model.protos.vectors)
-        if kind == "grlvq":
+        if kind == "glvq":  # trained with rate_metric > 0, still uniform, not written out
+            assert cfg.rate_metric > 0
+            assert np.array_equal(model.rel.lam, RelevanceProfile.uniform(8).lam)
+            assert json.loads(path.read_text())["lambda"] is None
+        if kind != "gmlvq":
             assert np.array_equal(loaded.rel.lam, model.rel.lam)
         if kind == "gmlvq":
             assert np.array_equal(loaded.omega.omega, model.omega.omega)
