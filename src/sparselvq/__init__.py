@@ -10,9 +10,9 @@ accuracy is monitored along the path.
 """
 
 from .dataset import LabeledDataset, SplitSpec, l2_normalize, load_csv, save_csv, select_bands, split, synth_sparse
-from .glvq import PrototypeSet, TransferFn, WinnerPair, classifier_mu, cost, find_winners, init_prototypes, sq_euclidean, update_prototypes, xi_factors
+from .glvq import PrototypeSet, TransferFn, WinnerPair, classifier_mu, init_prototypes, xi_factors
 from .l1smooth import DEFAULT_ALPHA, abs_smooth, abs_smooth_grad, l1_smooth, matrix_l1_exact, matrix_l1_smooth, matrix_l1_smooth_grad, sandwich_check, smooth_max
-from .metric import OmegaMatrix, RelevanceProfile, clamp_lambda, d_lambda, d_omega, grad_lambda, grad_omega, normalize_lambda, normalize_omega
+from .metric import OmegaMatrix, RelevanceProfile, clamp_lambda, grad_lambda, grad_omega, normalize_lambda, normalize_omega
 from .trainer import (
     EpochMetrics,
     LVQModel,

@@ -262,6 +262,11 @@ def cmd_eval(args) -> int:
         print(f"error: model expects {model.n_features} features but "
               f"{args.data} has {data.n_features}", file=sys.stderr)
         return 1
+    unknown = [n for n in data.label_names if model.label_names and n not in model.label_names]
+    if unknown:
+        print(f"error: {args.data} has labels {unknown} that the model was not "
+              f"trained on (it knows {model.label_names})", file=sys.stderr)
+        return 1
     acc = evaluate(model, data)
     conf = confusion_matrix(model, data)
     names = model.label_names or [str(c) for c in range(conf.shape[0])]

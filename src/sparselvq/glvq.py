@@ -1,14 +1,13 @@
-"""GLVQ core: labeled prototypes, winner selection, the classifier score
-mu, the cost function and the stochastic prototype update, all generic
-over a pluggable dissimilarity.
+"""GLVQ core: labeled prototypes, winner selection from a distance
+vector, the classifier score mu and its chain-rule factors xi, and
+prototype initialization. Distances and gradients come from the metric
+classes in `metric`; the training step lives in `trainer`.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,13 +63,6 @@ class PrototypeSet:
     def from_json_dict(cls, d: dict) -> "PrototypeSet":
         return cls(np.array(d["vectors"], dtype=float), np.array(d["labels"], dtype=int))
 
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict()))
-
-    @classmethod
-    def load(cls, path) -> "PrototypeSet":
-        return cls.from_json_dict(json.loads(Path(path).read_text()))
-
 
 @dataclass(frozen=True)
 class TransferFn:
@@ -113,15 +105,6 @@ class WinnerPair(NamedTuple):
     d_minus: float
 
 
-DistFn = Callable[[np.ndarray, np.ndarray], float]
-
-
-def sq_euclidean(v, w) -> float:
-    """Plain squared Euclidean distance, the unweighted default."""
-    delta = np.asarray(v, dtype=float) - np.asarray(w, dtype=float)
-    return float(np.dot(delta, delta))
-
-
 def winners_from_distances(dists, proto_labels, label: int) -> WinnerPair:
     """Best same-class and best other-class prototype from a distance vector.
 
@@ -141,12 +124,6 @@ def winners_from_distances(dists, proto_labels, label: int) -> WinnerPair:
     return WinnerPair(ip, im, float(dists[ip]), float(dists[im]))
 
 
-def find_winners(sample, label: int, protos: PrototypeSet, dist: DistFn) -> WinnerPair:
-    """Exhaustive winner search over all prototypes under `dist`."""
-    d = np.array([dist(sample, w) for w in protos.vectors])
-    return winners_from_distances(d, protos.labels, label)
-
-
 def classifier_mu(d_plus: float, d_minus: float) -> float:
     """Normalized winner-distance difference in [-1, 1]; negative means correct.
 
@@ -156,15 +133,6 @@ def classifier_mu(d_plus: float, d_minus: float) -> float:
     if total == 0.0:
         return 0.0
     return (d_plus - d_minus) / total
-
-
-def cost(data: LabeledDataset, protos: PrototypeSet, dist: DistFn, f: TransferFn) -> float:
-    """Half the sum of f(mu) over all samples."""
-    total = 0.0
-    for sample, label in zip(data.features, data.labels):
-        win = find_winners(sample, int(label), protos, dist)
-        total += float(f.value(classifier_mu(win.d_plus, win.d_minus)))
-    return 0.5 * total
 
 
 def xi_factors(d_plus: float, d_minus: float, f: TransferFn, mu: float) -> tuple[float, float]:
@@ -179,26 +147,6 @@ def xi_factors(d_plus: float, d_minus: float, f: TransferFn, mu: float) -> tuple
     fp = float(f.deriv(mu))
     common = 2.0 * fp / total**2
     return common * d_minus, -common * d_plus
-
-
-def update_prototypes(
-    winners: WinnerPair,
-    protos: PrototypeSet,
-    grad_plus: np.ndarray,
-    grad_minus: np.ndarray,
-    f: TransferFn,
-    learning_rate: float,
-) -> PrototypeSet:
-    """Gradient step on the two winning prototypes, in place.
-
-    grad_plus/grad_minus are the metric gradients d d+/d w+ and d d-/d w-
-    for the current sample; every other prototype row is untouched.
-    """
-    mu = classifier_mu(winners.d_plus, winners.d_minus)
-    xp, xm = xi_factors(winners.d_plus, winners.d_minus, f, mu)
-    protos.vectors[winners.idx_plus] -= learning_rate * xp * np.asarray(grad_plus)
-    protos.vectors[winners.idx_minus] -= learning_rate * xm * np.asarray(grad_minus)
-    return protos
 
 
 def init_prototypes(

@@ -57,7 +57,7 @@ class RelevanceProfile:
         return self.lam
 
     def dists(self, diff: np.ndarray) -> np.ndarray:
-        """Distances for the rows of an (M, n) difference array."""
+        """sum(lam_i^2 * diff_i^2) for each row of an (M, n) difference array."""
         return diff**2 @ self.lam**2
 
     def project(self, A: np.ndarray) -> np.ndarray:
@@ -66,7 +66,7 @@ class RelevanceProfile:
         return A
 
     def dist(self, v, w) -> float:
-        return d_lambda(v, w, self)
+        return float(self.dists(_delta(v, w, self)[np.newaxis])[0])
 
     def proto_grad(self, v, w) -> np.ndarray:
         return grad_proto_lambda(v, w, self)
@@ -116,7 +116,7 @@ class OmegaMatrix:
         return np.sqrt(np.sum(self.omega**2, axis=0))
 
     def dists(self, diff: np.ndarray) -> np.ndarray:
-        """Distances for the rows of an (M, n) difference array."""
+        """||O diff||^2 for each row of an (M, n) difference array."""
         p = diff @ self.omega.T  # (M, m)
         return np.einsum("ij,ij->i", p, p)
 
@@ -125,7 +125,7 @@ class OmegaMatrix:
         return A @ self.omega.T
 
     def dist(self, v, w) -> float:
-        return d_omega(v, w, self)
+        return float(self.dists(_delta(v, w, self)[np.newaxis])[0])
 
     def proto_grad(self, v, w) -> np.ndarray:
         return grad_proto_omega(v, w, self)
@@ -154,35 +154,23 @@ def _delta(v, w, met: RelevanceProfile | OmegaMatrix) -> np.ndarray:
     return v - w
 
 
-def d_lambda(v, w, rel: RelevanceProfile) -> float:
-    """Weighted squared distance sum(lam_i^2 * (v_i - w_i)^2)."""
-    delta = _delta(v, w, rel)
-    return float(np.dot(rel.lam**2, delta**2))
-
-
-def d_omega(v, w, om: OmegaMatrix) -> float:
-    """Squared Euclidean norm of the projected difference O(v - w)."""
-    p = om.omega @ _delta(v, w, om)
-    return float(np.dot(p, p))
-
-
 def grad_proto_lambda(v, w, rel: RelevanceProfile) -> np.ndarray:
-    """d d_lambda / d w, i.e. -2 * lam^2 * (v - w)."""
+    """d dist / d w, i.e. -2 * lam^2 * (v - w)."""
     return -2.0 * rel.lam**2 * _delta(v, w, rel)
 
 
 def grad_proto_omega(v, w, om: OmegaMatrix) -> np.ndarray:
-    """d d_omega / d w, i.e. -2 * O^T O (v - w)."""
+    """d dist / d w, i.e. -2 * O^T O (v - w)."""
     return -2.0 * (om.omega.T @ (om.omega @ _delta(v, w, om)))
 
 
 def grad_lambda(v, w, rel: RelevanceProfile) -> np.ndarray:
-    """Componentwise d d_lambda / d lam_j = 2 * lam_j * (v_j - w_j)^2."""
+    """Componentwise d dist / d lam_j = 2 * lam_j * (v_j - w_j)^2."""
     return 2.0 * rel.lam * _delta(v, w, rel)**2
 
 
 def grad_omega(v, w, om: OmegaMatrix) -> np.ndarray:
-    """Entrywise d d_omega / d O_rc = 2 * [O(v - w)]_r * (v - w)_c."""
+    """Entrywise d dist / d O_rc = 2 * [O(v - w)]_r * (v - w)_c."""
     delta = _delta(v, w, om)
     return 2.0 * np.outer(om.omega @ delta, delta)
 

@@ -21,8 +21,7 @@ from sparselvq.glvq import (
     PrototypeSet,
     TransferFn,
     classifier_mu,
-    find_winners,
-    sq_euclidean,
+    winners_from_distances,
     xi_factors,
 )
 from sparselvq.l1smooth import (
@@ -35,8 +34,6 @@ from sparselvq.l1smooth import (
 from sparselvq.metric import (
     OmegaMatrix,
     RelevanceProfile,
-    d_lambda,
-    d_omega,
     grad_lambda,
     grad_omega,
     grad_proto_lambda,
@@ -124,13 +121,13 @@ def test_gradient_oracle_suite():
         protos.labels[:2] = [0, 1]
         sample = rng.normal(size=n)
         label = int(rng.integers(0, 2))
-        dists = np.array([sq_euclidean(sample, w) for w in protos.vectors])
+        dists = np.sum((sample - protos.vectors) ** 2, axis=1)
         for group in (dists[protos.labels == label], dists[protos.labels != label]):
             srt = np.sort(group)
             if len(srt) > 1 and srt[1] - srt[0] < 1e-3:
                 break
         else:
-            win = find_winners(sample, label, protos, sq_euclidean)
+            win = winners_from_distances(dists, protos.labels, label)
             mu = classifier_mu(win.d_plus, win.d_minus)
             xp, xm = xi_factors(win.d_plus, win.d_minus, IDENTITY, mu)
             analytic = np.zeros_like(protos.vectors)
@@ -138,8 +135,9 @@ def test_gradient_oracle_suite():
             analytic[win.idx_minus] = xm * (-2.0) * (sample - protos.vectors[win.idx_minus])
 
             def score(flat):
-                ps = PrototypeSet(flat.reshape(protos.vectors.shape), protos.labels)
-                w = find_winners(sample, label, ps, sq_euclidean)
+                W = flat.reshape(protos.vectors.shape)
+                w = winners_from_distances(np.sum((sample - W) ** 2, axis=1),
+                                           protos.labels, label)
                 return classifier_mu(w.d_plus, w.d_minus)
 
             fd = central_diff(score, protos.vectors.ravel(), h).reshape(analytic.shape)
@@ -151,9 +149,9 @@ def test_gradient_oracle_suite():
         v, w = rng.normal(size=n), rng.normal(size=n)
         lam = rng.uniform(0.05, 1.5, size=n)
         rel = RelevanceProfile(lam)
-        fd = central_diff(lambda l: d_lambda(v, w, RelevanceProfile(l)), lam, h)
+        fd = central_diff(lambda l: RelevanceProfile(l).dist(v, w), lam, h)
         assert_grad_close(grad_lambda(v, w, rel), fd, rtol=1e-4, label="lambda")
-        fd = central_diff(lambda ww: d_lambda(v, ww, rel), w, h)
+        fd = central_diff(lambda ww: rel.dist(v, ww), w, h)
         assert_grad_close(grad_proto_lambda(v, w, rel), fd, rtol=1e-4, label="proto-lambda")
 
     for _ in range(100):  # projected metric, both gradient routes
@@ -161,9 +159,9 @@ def test_gradient_oracle_suite():
         m = int(rng.integers(1, n + 1))
         v, w = rng.normal(size=n), rng.normal(size=n)
         om = OmegaMatrix(rng.normal(size=(m, n)))
-        fd = central_diff_matrix(lambda o: d_omega(v, w, OmegaMatrix(o)), om.omega, h)
+        fd = central_diff_matrix(lambda o: OmegaMatrix(o).dist(v, w), om.omega, h)
         assert_grad_close(grad_omega(v, w, om), fd, rtol=1e-4, label="omega")
-        fd = central_diff(lambda ww: d_omega(v, ww, om), w, h)
+        fd = central_diff(lambda ww: om.dist(v, ww), w, h)
         assert_grad_close(grad_proto_omega(v, w, om), fd, rtol=1e-4, label="proto-omega")
 
     for _ in range(100):  # smooth absolute value

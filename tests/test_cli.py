@@ -199,6 +199,19 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert "9" in err and "6" in err
 
+    def test_label_the_model_never_saw_is_runtime_error(self, tmp_path, tiny_csv, capsys):
+        out = tmp_path / "run"
+        assert run_cli(["train", "--data", tiny_csv, "--epochs", 1, "--out", out]) == 0
+        three = tmp_path / "three.csv"
+        save_csv(synth_sparse(6, 2, 3, 4, 1.0, 5), three)
+        capsys.readouterr()
+        code = run_cli(["eval", "--model", out / "model.json", "--data", three,
+                        "--out", tmp_path / "e.json"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "['2']" in err
+        assert not (tmp_path / "e.json").exists()
+
     @pytest.mark.parametrize("edit,message", [
         pytest.param(lambda d: d.update({"lambda": None}), "lambda", id="grlvq-without-lambda"),
         pytest.param(lambda d: d.pop("protos"), "malformed model", id="missing-protos"),

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -9,16 +11,25 @@ from sparselvq.glvq import (
     PrototypeSet,
     TransferFn,
     classifier_mu,
-    cost,
-    find_winners,
     init_prototypes,
-    sq_euclidean,
-    update_prototypes,
     winners_from_distances,
     xi_factors,
 )
+from sparselvq.metric import RelevanceProfile
+from sparselvq.trainer import LVQModel, TrainConfig, _dists_to_protos, dataset_cost, train_epoch
 
 IDENTITY = TransferFn.identity()
+
+
+def euclid_model(protos):
+    """Unit relevances: the model's distance is plain squared Euclidean."""
+    return LVQModel("grlvq", protos, RelevanceProfile(np.ones(protos.n_features)))
+
+
+def winners(sample, label, protos):
+    """Winner search as the SGD step runs it, under squared Euclidean distance."""
+    return winners_from_distances(_dists_to_protos(euclid_model(protos), sample),
+                                  protos.labels, label)
 
 
 def random_setup(rng, n=4, n_protos=5, n_classes=3):
@@ -36,15 +47,15 @@ def random_setup(rng, n=4, n_protos=5, n_classes=3):
 class TestFindWinners:
     def test_coincident_sample(self):
         protos = PrototypeSet(np.array([[0.0, 0.0], [2.0, 2.0]]), np.array([0, 1]))
-        win = find_winners(np.zeros(2), 0, protos, sq_euclidean)
+        win = winners(np.zeros(2), 0, protos)
         assert win.idx_plus == 0 and win.d_plus == 0.0
         assert win.idx_minus == 1
 
     def test_two_prototypes_forced_by_labels(self):
         protos = PrototypeSet(np.array([[0.0], [1.0]]), np.array([0, 1]))
-        win = find_winners(np.array([0.9]), 1, protos, sq_euclidean)
+        win = winners(np.array([0.9]), 1, protos)
         assert (win.idx_plus, win.idx_minus) == (1, 0)
-        win = find_winners(np.array([0.9]), 0, protos, sq_euclidean)
+        win = winners(np.array([0.9]), 0, protos)
         assert (win.idx_plus, win.idx_minus) == (0, 1)
 
     def test_matches_exhaustive_scan(self):
@@ -52,7 +63,7 @@ class TestFindWinners:
         for _ in range(200):
             sample, protos = random_setup(rng)
             label = int(rng.integers(0, 2))
-            win = find_winners(sample, label, protos, sq_euclidean)
+            win = winners(sample, label, protos)
             # independent exhaustive oracle
             best_p, best_m = None, None
             for k in range(protos.n_protos):
@@ -75,9 +86,9 @@ class TestFindWinners:
     def test_missing_class_errors(self):
         protos = PrototypeSet(np.zeros((2, 2)), np.array([1, 1]))
         with pytest.raises(NoSameClassPrototype):
-            find_winners(np.zeros(2), 0, protos, sq_euclidean)
+            winners(np.zeros(2), 0, protos)
         with pytest.raises(NoOtherClassPrototype):
-            find_winners(np.zeros(2), 1, protos, sq_euclidean)
+            winners(np.zeros(2), 1, protos)
 
 
 class TestClassifierMu:
@@ -107,12 +118,12 @@ class TestCost:
     def test_empty_dataset(self):
         data = LabeledDataset(np.empty((0, 2)), np.empty(0, dtype=int))
         protos = PrototypeSet(np.zeros((2, 2)), np.array([0, 1]))
-        assert cost(data, protos, sq_euclidean, IDENTITY) == 0.0
+        assert dataset_cost(euclid_model(protos), data, IDENTITY) == 0.0
 
     def test_single_perfect_sample(self):
         protos = PrototypeSet(np.array([[0.0, 0.0], [3.0, 3.0]]), np.array([0, 1]))
         data = LabeledDataset(np.array([[0.0, 0.0]]), np.array([0]))
-        assert cost(data, protos, sq_euclidean, IDENTITY) == pytest.approx(-0.5)
+        assert dataset_cost(euclid_model(protos), data, IDENTITY) == pytest.approx(-0.5)
 
     def test_matches_per_sample_oracle(self):
         rng = np.random.default_rng(2)
@@ -126,7 +137,8 @@ class TestCost:
             dp = min(d for d, l in zip(dists, protos.labels) if l == c)
             dm = min(d for d, l in zip(dists, protos.labels) if l != c)
             expected += (dp - dm) / (dp + dm)
-        assert cost(data, protos, sq_euclidean, IDENTITY) == pytest.approx(0.5 * expected)
+        assert dataset_cost(euclid_model(protos), data, IDENTITY) == pytest.approx(
+            0.5 * expected)
 
 
 class TestXiFactors:
@@ -165,10 +177,11 @@ class TestXiFactors:
 
 class TestUpdatePrototypes:
     def _step(self, sample, label, protos, rate):
-        win = find_winners(sample, label, protos, sq_euclidean)
-        gp = -2.0 * (sample - protos.vectors[win.idx_plus])
-        gm = -2.0 * (sample - protos.vectors[win.idx_minus])
-        return update_prototypes(win, protos, gp, gm, IDENTITY, rate)
+        """The production step: a one-row train_epoch of a glvq model, in place."""
+        data = LabeledDataset(sample[np.newaxis], np.array([label]))
+        train_epoch(LVQModel("glvq", protos), data,
+                    TrainConfig(model_kind="glvq", rate_proto=rate), 0.0,
+                    np.random.default_rng(0))
 
     def test_zero_rate_keeps_prototypes(self):
         rng = np.random.default_rng(4)
@@ -185,9 +198,9 @@ class TestUpdatePrototypes:
     def test_cost_decreases_on_two_point_problem(self):
         protos = PrototypeSet(np.array([[0.5, 0.0], [1.5, 0.0]]), np.array([0, 1]))
         data = LabeledDataset(np.array([[0.0, 0.0], [2.0, 0.0]]), np.array([0, 1]))
-        before = cost(data, protos, sq_euclidean, IDENTITY)
+        before = dataset_cost(euclid_model(protos), data, IDENTITY)
         self._step(data.features[0], 0, protos, 1e-3)
-        after = cost(data, protos, sq_euclidean, IDENTITY)
+        after = dataset_cost(euclid_model(protos), data, IDENTITY)
         assert after < before
 
     def test_touches_exactly_two_rows(self):
@@ -195,7 +208,7 @@ class TestUpdatePrototypes:
         for _ in range(20):
             sample, protos = random_setup(rng)
             before = protos.vectors.copy()
-            win = find_winners(sample, 0, protos, sq_euclidean)
+            win = winners(sample, 0, protos)
             self._step(sample, 0, protos, 0.05)
             changed = {
                 i for i in range(protos.n_protos)
@@ -215,8 +228,8 @@ class TestPrototypeGradientInvariant:
         while checked < 100:
             sample, protos = random_setup(rng)
             label = int(rng.integers(0, 2))
-            win = find_winners(sample, label, protos, sq_euclidean)
-            dists = np.array([sq_euclidean(sample, w) for w in protos.vectors])
+            dists = np.sum((sample - protos.vectors) ** 2, axis=1)
+            win = winners_from_distances(dists, protos.labels, label)
             same = np.sort(dists[protos.labels == label])
             other = np.sort(dists[protos.labels != label])
             # skip configurations where an FD nudge could flip the winner
@@ -230,8 +243,9 @@ class TestPrototypeGradientInvariant:
             analytic[win.idx_minus] = 0.5 * xm * (-2.0) * (sample - protos.vectors[win.idx_minus])
 
             def loss(flat):
-                ps = PrototypeSet(flat.reshape(protos.vectors.shape), protos.labels)
-                w = find_winners(sample, label, ps, sq_euclidean)
+                W = flat.reshape(protos.vectors.shape)
+                w = winners_from_distances(np.sum((sample - W) ** 2, axis=1),
+                                           protos.labels, label)
                 return 0.5 * classifier_mu(w.d_plus, w.d_minus)
 
             fd = np.zeros(protos.vectors.size)
@@ -274,8 +288,8 @@ class TestTransferFn:
     def test_json_round_trip_of_prototypes(self, tmp_path):
         protos = PrototypeSet(np.array([[0.1, 0.2], [0.3, 0.4]]), np.array([0, 1]))
         path = tmp_path / "protos.json"
-        protos.save(path)
-        loaded = PrototypeSet.load(path)
+        path.write_text(json.dumps(protos.to_json_dict()))
+        loaded = PrototypeSet.from_json_dict(json.loads(path.read_text()))
         assert np.array_equal(loaded.vectors, protos.vectors)
         assert np.array_equal(loaded.labels, protos.labels)
 

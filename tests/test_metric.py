@@ -9,8 +9,6 @@ from sparselvq.metric import (
     OmegaMatrix,
     RelevanceProfile,
     clamp_lambda,
-    d_lambda,
-    d_omega,
     det_metric,
     grad_lambda,
     grad_omega,
@@ -35,11 +33,11 @@ class TestDistances:
     def test_d_lambda_zero_at_equal_points(self):
         rel = RelevanceProfile(np.array([0.3, 0.7]))
         v = np.array([1.0, 2.0])
-        assert d_lambda(v, v, rel) == 0.0
+        assert rel.dist(v, v) == 0.0
 
     def test_d_lambda_masked_dimension(self):
         rel = RelevanceProfile(np.array([1.0, 0.0]))
-        assert d_lambda(np.array([0.0, 5.0]), np.array([0.0, 0.0]), rel) == 0.0
+        assert rel.dist(np.array([0.0, 5.0]), np.array([0.0, 0.0])) == 0.0
 
     def test_d_lambda_matches_quadratic_form(self):
         rng = np.random.default_rng(0)
@@ -47,18 +45,18 @@ class TestDistances:
             v, w, rel, _ = random_instance(rng)
             big_lambda = np.diag(rel.lam**2)
             expected = (v - w) @ big_lambda @ (v - w)
-            assert d_lambda(v, w, rel) == pytest.approx(expected, rel=1e-12)
+            assert rel.dist(v, w) == pytest.approx(expected, rel=1e-12)
 
     def test_d_omega_identity_is_sq_euclidean(self):
         rng = np.random.default_rng(1)
         v, w = rng.normal(size=4), rng.normal(size=4)
         om = OmegaMatrix(np.eye(4))
-        assert d_omega(v, w, om) == pytest.approx(np.sum((v - w) ** 2), rel=1e-12)
+        assert om.dist(v, w) == pytest.approx(np.sum((v - w) ** 2), rel=1e-12)
 
     def test_d_omega_zero_at_equal_points(self):
         om = OmegaMatrix(np.ones((2, 3)))
         v = np.array([1.0, -2.0, 0.5])
-        assert d_omega(v, v, om) == 0.0
+        assert om.dist(v, v) == 0.0
 
     def test_d_omega_matches_bilinear_form(self):
         rng = np.random.default_rng(2)
@@ -66,7 +64,7 @@ class TestDistances:
             v, w, _, om = random_instance(rng, n=5, m=3)
             big_lambda = om.omega.T @ om.omega
             expected = (v - w) @ big_lambda @ (v - w)
-            assert d_omega(v, w, om) == pytest.approx(expected, rel=1e-10, abs=1e-12)
+            assert om.dist(v, w) == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
     def test_diag_omega_equals_lambda_metric(self):
         rng = np.random.default_rng(3)
@@ -74,18 +72,18 @@ class TestDistances:
             n = int(rng.integers(1, 9))
             v, w = rng.normal(size=n), rng.normal(size=n)
             lam = rng.uniform(0, 1.5, size=n)
-            a = d_lambda(v, w, RelevanceProfile(lam))
-            b = d_omega(v, w, OmegaMatrix(np.diag(lam)))
+            a = RelevanceProfile(lam).dist(v, w)
+            b = OmegaMatrix(np.diag(lam)).dist(v, w)
             assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
 
     def test_dimension_mismatch(self):
         rel = RelevanceProfile(np.ones(3))
         with pytest.raises(DimensionMismatch):
-            d_lambda(np.ones(3), np.ones(4), rel)
+            rel.dist(np.ones(3), np.ones(4))
         with pytest.raises(DimensionMismatch):
-            d_lambda(np.ones(4), np.ones(4), rel)
+            rel.dist(np.ones(4), np.ones(4))
         with pytest.raises(DimensionMismatch):
-            d_omega(np.ones(4), np.ones(4), OmegaMatrix(np.ones((2, 3))))
+            OmegaMatrix(np.ones((2, 3))).dist(np.ones(4), np.ones(4))
 
 
 class TestGradients:
@@ -107,7 +105,7 @@ class TestGradients:
         rng = np.random.default_rng(5)
         for _ in range(100):
             v, w, rel, _ = random_instance(rng)
-            fd = central_diff(lambda ww: d_lambda(v, ww, rel), w)
+            fd = central_diff(lambda ww: rel.dist(v, ww), w)
             assert_grad_close(grad_proto_lambda(v, w, rel), fd, rtol=1e-5,
                               label="proto/lambda")
 
@@ -115,7 +113,7 @@ class TestGradients:
         rng = np.random.default_rng(6)
         for _ in range(100):
             v, w, _, om = random_instance(rng, n=5, m=3)
-            fd = central_diff(lambda ww: d_omega(v, ww, om), w)
+            fd = central_diff(lambda ww: om.dist(v, ww), w)
             assert_grad_close(grad_proto_omega(v, w, om), fd, rtol=1e-5,
                               label="proto/omega")
 
@@ -131,7 +129,7 @@ class TestGradients:
         rng = np.random.default_rng(8)
         for _ in range(100):
             v, w, rel, _ = random_instance(rng)
-            fd = central_diff(lambda l: d_lambda(v, w, RelevanceProfile(l)), rel.lam)
+            fd = central_diff(lambda l: RelevanceProfile(l).dist(v, w), rel.lam)
             assert_grad_close(grad_lambda(v, w, rel), fd, rtol=1e-5, label="lambda")
 
     def test_grad_omega_scalar_case(self):
@@ -150,7 +148,7 @@ class TestGradients:
         for _ in range(100):
             v, w, _, om = random_instance(rng, n=5, m=3)
             fd = central_diff_matrix(
-                lambda o: d_omega(v, w, OmegaMatrix(o)), om.omega
+                lambda o: OmegaMatrix(o).dist(v, w), om.omega
             )
             assert_grad_close(grad_omega(v, w, om), fd, rtol=1e-5, label="omega")
 

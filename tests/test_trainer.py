@@ -5,9 +5,15 @@ import numpy as np
 import pytest
 
 from sparselvq.dataset import LabeledDataset, SplitSpec, split, synth_sparse
-from sparselvq.glvq import PrototypeSet, TransferFn, cost
+from sparselvq.glvq import (
+    PrototypeSet,
+    TransferFn,
+    classifier_mu,
+    winners_from_distances,
+    xi_factors,
+)
 from sparselvq.l1smooth import l1_exact
-from sparselvq.metric import DimensionMismatch, OmegaMatrix, RelevanceProfile, d_lambda
+from sparselvq.metric import DimensionMismatch, OmegaMatrix, RelevanceProfile
 from sparselvq.trainer import (
     DIST_BLOCK_ROWS,
     EpochMetrics,
@@ -110,7 +116,12 @@ class TestEvaluatePredict:
         rng = np.random.default_rng(4)
         data = small_data(seed=5)
         model = random_model(rng, "grlvq", n=6, n_classes=2)
-        scalar = cost(data, model.protos, lambda v, w: d_lambda(v, w, model.rel), IDENTITY)
+        scalar = 0.0
+        for v, c in zip(data.features, data.labels):
+            dists = np.array([model.dist(v, w) for w in model.protos.vectors])
+            dp = dists[model.protos.labels == c].min()
+            dm = dists[model.protos.labels != c].min()
+            scalar += 0.5 * (dp - dm) / (dp + dm)
         assert dataset_cost(model, data, IDENTITY) == pytest.approx(scalar, rel=1e-9)
 
 
@@ -228,6 +239,36 @@ class TestTrainEpoch:
         np.testing.assert_allclose(
             m_r.protos.vectors, m_g.protos.vectors, rtol=1e-8, atol=1e-12
         )
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_one_step_takes_every_gradient_at_the_pre_step_state(self, kind):
+        """Both winner rows and the metric move by gradients of the pre-step
+        metric `met0` at the pre-step prototypes; no other row moves."""
+        rng = np.random.default_rng(31)
+        model = random_model(rng, kind)
+        v, label = rng.normal(size=5), 1
+        W0, met0 = model.protos.vectors.copy(), model.copy().metric
+        win = winners_from_distances(met0.dists(v - W0), model.protos.labels, label)
+        xp, xm = xi_factors(win.d_plus, win.d_minus, IDENTITY,
+                            classifier_mu(win.d_plus, win.d_minus))
+        cfg = TrainConfig(model_kind=kind, rate_proto=0.05, rate_metric=0.02)
+        reg_weight = 0.5
+        train_epoch(model, LabeledDataset(v[np.newaxis], np.array([label])), cfg,
+                    reg_weight, np.random.default_rng(0))
+        W = model.protos.vectors
+        for i, xi in ((win.idx_plus, xp), (win.idx_minus, xm)):
+            np.testing.assert_allclose(
+                W[i], W0[i] - cfg.rate_proto * xi * met0.proto_grad(v, W0[i]), rtol=1e-12)
+        others = np.setdiff1d(np.arange(W.shape[0]), [win.idx_plus, win.idx_minus])
+        assert np.array_equal(W[others], W0[others])
+        if kind == "glvq":
+            assert np.array_equal(model.metric.params, met0.params)
+        else:
+            g = (xp * met0.param_grad(v, W0[win.idx_plus])
+                 + xm * met0.param_grad(v, W0[win.idx_minus])
+                 + reg_weight * met0.penalty_grad(cfg.alpha))
+            expected = met0.stepped(met0.params - cfg.rate_metric * g)
+            np.testing.assert_allclose(model.metric.params, expected.params, rtol=1e-12)
 
     def test_separable_blobs_reach_high_accuracy(self):
         data = synth_sparse(2, 2, 2, 50, noise_sigma=1.0, seed=13)
