@@ -37,6 +37,7 @@ from .trainer import (
     evaluate,
     init_model,
     load_model,
+    predict,
     run_path,
     save_model,
     train,
@@ -262,14 +263,16 @@ def cmd_eval(args) -> int:
         print(f"error: model expects {model.n_features} features but "
               f"{args.data} has {data.n_features}", file=sys.stderr)
         return 1
-    unknown = [n for n in data.label_names if model.label_names and n not in model.label_names]
+    names = model.label_names or [str(c) for c in range(int(model.protos.labels.max()) + 1)]
+    unknown = ([n for n in data.label_names if n not in names] if model.label_names
+               else data.label_names[len(names):])
     if unknown:
         print(f"error: {args.data} has labels {unknown} that the model was not "
-              f"trained on (it knows {model.label_names})", file=sys.stderr)
+              f"trained on (it knows {names})", file=sys.stderr)
         return 1
-    acc = evaluate(model, data)
-    conf = confusion_matrix(model, data)
-    names = model.label_names or [str(c) for c in range(conf.shape[0])]
+    pred = predict(model, data.features)
+    acc = evaluate(model, data, pred)
+    conf = confusion_matrix(model, data, pred)
     print(f"accuracy {acc:.4f} on {data.n_samples} samples")
     width = max(max(len(str(n)) for n in names), len(str(int(conf.max())))) + 2
     print("confusion (rows = true, cols = predicted):")

@@ -1,7 +1,8 @@
 """GLVQ core: labeled prototypes, winner selection from a distance
-vector, the classifier score mu and its chain-rule factors xi, and
-prototype initialization. Distances and gradients come from the metric
-classes in `metric`; the training step lives in `trainer`.
+vector through a per-class index table, the classifier score mu and its
+chain-rule factors xi, and prototype initialization. Distances and
+gradients come from the metric classes in `metric`; the training step
+lives in `trainer`.
 """
 
 from __future__ import annotations
@@ -105,22 +106,25 @@ class WinnerPair(NamedTuple):
     d_minus: float
 
 
-def winners_from_distances(dists, proto_labels, label: int) -> WinnerPair:
-    """Best same-class and best other-class prototype from a distance vector.
+def class_index_table(proto_labels, labels) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Ascending same-class and other-class prototype indices per class in `labels`;
+    built once per training pass, so an uncovered class fails before any step."""
+    table = {}
+    for c in np.unique(labels).tolist():
+        same = np.asarray(proto_labels) == c
+        if not same.any():
+            raise NoSameClassPrototype(f"no prototype carries class {c}")
+        if same.all():
+            raise NoOtherClassPrototype(f"all prototypes carry class {c}")
+        table[c] = (np.flatnonzero(same), np.flatnonzero(~same))
+    return table
 
-    Ties break toward the lowest prototype index.
-    """
-    dists = np.asarray(dists, dtype=float)
-    proto_labels = np.asarray(proto_labels)
-    same = proto_labels == label
-    if not same.any():
-        raise NoSameClassPrototype(f"no prototype carries class {label}")
-    if same.all():
-        raise NoOtherClassPrototype(f"all prototypes carry class {label}")
-    same_idx = np.flatnonzero(same)
-    other_idx = np.flatnonzero(~same)
-    ip = int(same_idx[np.argmin(dists[same_idx])])
-    im = int(other_idx[np.argmin(dists[other_idx])])
+
+def winners_from_distances(dists, same_idx, other_idx) -> WinnerPair:
+    """Best same-class and best other-class prototype, searched over one
+    `class_index_table` entry; ties break toward the lowest index."""
+    ip = int(same_idx[dists[same_idx].argmin()])
+    im = int(other_idx[dists[other_idx].argmin()])
     return WinnerPair(ip, im, float(dists[ip]), float(dists[im]))
 
 

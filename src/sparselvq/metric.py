@@ -7,6 +7,8 @@ many prototypes), the projection that turns the metric into the squared
 Euclidean distance, the gradients, the smooth l1 penalty and the
 clamp/normalize step. The methods reach the module functions below and
 `l1smooth` by global lookup, so those stay the single implementation.
+The gradients take the difference row `v - w` unchecked (the training
+step holds it); `dist(v, w)` checks two raw vectors against the metric.
 Distance and gradient evaluations are pure; `stepped` and the
 clamp/normalize functions return new wrapper objects and are meant to
 run inside the single-threaded training step.
@@ -68,11 +70,11 @@ class RelevanceProfile:
     def dist(self, v, w) -> float:
         return float(self.dists(_delta(v, w, self)[np.newaxis])[0])
 
-    def proto_grad(self, v, w) -> np.ndarray:
-        return grad_proto_lambda(v, w, self)
+    def proto_grad(self, delta: np.ndarray) -> np.ndarray:
+        return grad_proto_lambda(delta, self)
 
-    def param_grad(self, v, w) -> np.ndarray:
-        return grad_lambda(v, w, self)
+    def param_grad(self, delta: np.ndarray) -> np.ndarray:
+        return grad_lambda(delta, self)
 
     def penalty(self, alpha: float) -> float:
         return l1smooth.l1_smooth(self.lam, alpha)
@@ -127,11 +129,11 @@ class OmegaMatrix:
     def dist(self, v, w) -> float:
         return float(self.dists(_delta(v, w, self)[np.newaxis])[0])
 
-    def proto_grad(self, v, w) -> np.ndarray:
-        return grad_proto_omega(v, w, self)
+    def proto_grad(self, delta: np.ndarray) -> np.ndarray:
+        return grad_proto_omega(delta, self)
 
-    def param_grad(self, v, w) -> np.ndarray:
-        return grad_omega(v, w, self)
+    def param_grad(self, delta: np.ndarray) -> np.ndarray:
+        return grad_omega(delta, self)
 
     def penalty(self, alpha: float) -> float:
         return l1smooth.matrix_l1_smooth(self.omega, alpha)
@@ -154,24 +156,23 @@ def _delta(v, w, met: RelevanceProfile | OmegaMatrix) -> np.ndarray:
     return v - w
 
 
-def grad_proto_lambda(v, w, rel: RelevanceProfile) -> np.ndarray:
-    """d dist / d w, i.e. -2 * lam^2 * (v - w)."""
-    return -2.0 * rel.lam**2 * _delta(v, w, rel)
+def grad_proto_lambda(delta: np.ndarray, rel: RelevanceProfile) -> np.ndarray:
+    """d dist / d w at delta = v - w, i.e. -2 * lam^2 * delta."""
+    return -2.0 * rel.lam**2 * delta
 
 
-def grad_proto_omega(v, w, om: OmegaMatrix) -> np.ndarray:
-    """d dist / d w, i.e. -2 * O^T O (v - w)."""
-    return -2.0 * (om.omega.T @ (om.omega @ _delta(v, w, om)))
+def grad_proto_omega(delta: np.ndarray, om: OmegaMatrix) -> np.ndarray:
+    """d dist / d w at delta = v - w, i.e. -2 * O^T O delta."""
+    return -2.0 * (om.omega.T @ (om.omega @ delta))
 
 
-def grad_lambda(v, w, rel: RelevanceProfile) -> np.ndarray:
-    """Componentwise d dist / d lam_j = 2 * lam_j * (v_j - w_j)^2."""
-    return 2.0 * rel.lam * _delta(v, w, rel)**2
+def grad_lambda(delta: np.ndarray, rel: RelevanceProfile) -> np.ndarray:
+    """Componentwise d dist / d lam_j = 2 * lam_j * delta_j^2, delta = v - w."""
+    return 2.0 * rel.lam * delta**2
 
 
-def grad_omega(v, w, om: OmegaMatrix) -> np.ndarray:
-    """Entrywise d dist / d O_rc = 2 * [O(v - w)]_r * (v - w)_c."""
-    delta = _delta(v, w, om)
+def grad_omega(delta: np.ndarray, om: OmegaMatrix) -> np.ndarray:
+    """Entrywise d dist / d O_rc = 2 * [O delta]_r * delta_c, delta = v - w."""
     return 2.0 * np.outer(om.omega @ delta, delta)
 
 

@@ -1,12 +1,13 @@
 """Stochastic-gradient training for GLVQ, GRLVQ and GMLVQ.
 
 One epoch is a pass over a seeded random permutation of the training
-samples. Each sample: winner search under the current metric, gradient
-step on the two winning prototypes, then one combined metric step of the
-data-term gradient plus reg_weight times the smooth l1 gradient, followed
-by clamp (profile case) and renormalization. GLVQ is GRLVQ with the
-profile frozen at uniform: it takes no metric step. `run_path` ramps
-reg_weight linearly and snapshots the model per step.
+samples. Each sample: one difference array D = v - W, winner search from
+its distances, gradient step on the two winning prototypes from D's
+winner rows, then one combined metric step of the data-term gradient
+plus reg_weight times the smooth l1 gradient, followed by clamp (profile
+case) and renormalization. GLVQ is GRLVQ with the profile frozen at
+uniform: it takes no metric step. `run_path` ramps reg_weight linearly
+and snapshots the model per step.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .dataset import LabeledDataset
 from .glvq import (
     PrototypeSet,
     TransferFn,
+    class_index_table,
     classifier_mu,
     init_prototypes,
     winners_from_distances,
@@ -273,9 +275,10 @@ def init_model(data: LabeledDataset, config: TrainConfig,
     return LVQModel(config.model_kind, protos, rel, omega, data.label_names)
 
 
-def _dists_to_protos(model: LVQModel, v: np.ndarray) -> np.ndarray:
-    """Distances from one sample to all prototypes, vectorized over rows."""
-    return model.metric.dists(v - model.protos.vectors)
+def _dists_to_protos(model: LVQModel, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The difference rows D = v - W to all prototypes, and their distances."""
+    D = v - model.protos.vectors
+    return D, model.metric.dists(D)
 
 
 def distance_matrix(model: LVQModel, X: np.ndarray) -> np.ndarray:
@@ -335,9 +338,10 @@ def predict(model: LVQModel, X: np.ndarray) -> np.ndarray:
     return model.protos.labels[np.argmin(d, axis=1)]
 
 
-def evaluate(model: LVQModel, data: LabeledDataset) -> float:
-    """Fraction of samples whose nearest prototype carries the right label."""
-    return float(np.mean(predict(model, data.features) == data.labels))
+def evaluate(model: LVQModel, data: LabeledDataset, pred: np.ndarray | None = None) -> float:
+    """Fraction of samples whose nearest prototype (or `pred`) has the right label."""
+    pred = predict(model, data.features) if pred is None else pred
+    return float(np.mean(pred == data.labels))
 
 
 def sparsity_of(rel, threshold: float = 1e-4) -> float:
@@ -385,43 +389,48 @@ def train_epoch(
     `t` is the global epoch index driving the 1/(1 + t*decay) rate decay.
     Without a held-out set the test_accuracy field mirrors the training
     accuracy. Samples whose two winner distances are both zero are
-    skipped (no usable gradient).
+    skipped (no usable gradient). The data width and the class table are
+    checked before any step; each step checks W and the new metric
+    parameters for finiteness once.
     """
+    X, y = train_data.features, train_data.labels
+    W = model.protos.vectors
+    if X.shape[1] != model.n_features or model.metric.n_dims != model.n_features:
+        raise DimensionMismatch(f"model has {model.n_features} features and a "
+                                f"{model.metric.n_dims}-dim metric, data has {X.shape[1]}")
+    table = class_index_table(model.protos.labels, y)
     decay = 1.0 / (1.0 + config.rate_decay * t)
     rate_p = config.rate_proto * decay
     rate_m = 0.0 if model.kind == "glvq" else config.rate_metric * decay  # frozen profile
     f = config.transfer
-    X, y = train_data.features, train_data.labels
-    W = model.protos.vectors
-    proto_labels = model.protos.labels
     alpha = config.alpha
 
     order = rng.permutation(train_data.n_samples)
     for step, idx in enumerate(order):
-        v = X[idx]
-        win = winners_from_distances(_dists_to_protos(model, v), proto_labels, int(y[idx]))
+        D, dists = _dists_to_protos(model, X[idx])
+        win = winners_from_distances(dists, *table[y[idx]])
         if win.d_plus + win.d_minus == 0.0:
             continue
         mu = classifier_mu(win.d_plus, win.d_minus)
         xp, xm = xi_factors(win.d_plus, win.d_minus, f, mu)
-        wp, wm = W[win.idx_plus], W[win.idx_minus]  # views: W changes below
+        dp, dm = D[win.idx_plus], D[win.idx_minus]
         met = model.metric
 
-        # all gradients taken at the pre-step state
-        gp = met.proto_grad(v, wp)
-        gm = met.proto_grad(v, wm)
+        # all gradients taken at the pre-step state: D is not written below
+        gp = met.proto_grad(dp)
+        gm = met.proto_grad(dm)
         if rate_m:
-            g_metric = xp * met.param_grad(v, wp) + xm * met.param_grad(v, wm)
+            g_metric = xp * met.param_grad(dp) + xm * met.param_grad(dm)
             if reg_weight:
                 g_metric += reg_weight * met.penalty_grad(alpha)
 
         W[win.idx_plus] -= rate_p * xp * gp
         W[win.idx_minus] -= rate_p * xm * gm
-        ok = np.all(np.isfinite(W[win.idx_plus])) and np.all(np.isfinite(W[win.idx_minus]))
+        ok = np.isfinite(W).all()
 
         if ok and rate_m:
             params = met.params - rate_m * g_metric
-            ok = np.all(np.isfinite(params))
+            ok = np.isfinite(params).all()
             if ok:
                 model.metric = met.stepped(params)
         if not ok:
@@ -507,9 +516,9 @@ def run_path(
     return all_metrics, snapshots
 
 
-def confusion_matrix(model: LVQModel, data: LabeledDataset) -> np.ndarray:
-    """Counts[true, predicted] over the dataset."""
-    pred = predict(model, data.features)
+def confusion_matrix(model: LVQModel, data: LabeledDataset, pred=None) -> np.ndarray:
+    """Counts[true, predicted] over the dataset; `pred` as in `evaluate`."""
+    pred = predict(model, data.features) if pred is None else pred
     c = max(data.n_classes, int(model.protos.labels.max()) + 1)
     out = np.zeros((c, c), dtype=int)
     np.add.at(out, (data.labels, pred), 1)

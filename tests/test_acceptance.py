@@ -20,6 +20,7 @@ from sparselvq.dataset import SplitSpec, save_csv, split, synth_sparse
 from sparselvq.glvq import (
     PrototypeSet,
     TransferFn,
+    class_index_table,
     classifier_mu,
     winners_from_distances,
     xi_factors,
@@ -127,7 +128,8 @@ def test_gradient_oracle_suite():
             if len(srt) > 1 and srt[1] - srt[0] < 1e-3:
                 break
         else:
-            win = winners_from_distances(dists, protos.labels, label)
+            groups = class_index_table(protos.labels, [label])[label]
+            win = winners_from_distances(dists, *groups)
             mu = classifier_mu(win.d_plus, win.d_minus)
             xp, xm = xi_factors(win.d_plus, win.d_minus, IDENTITY, mu)
             analytic = np.zeros_like(protos.vectors)
@@ -136,8 +138,7 @@ def test_gradient_oracle_suite():
 
             def score(flat):
                 W = flat.reshape(protos.vectors.shape)
-                w = winners_from_distances(np.sum((sample - W) ** 2, axis=1),
-                                           protos.labels, label)
+                w = winners_from_distances(np.sum((sample - W) ** 2, axis=1), *groups)
                 return classifier_mu(w.d_plus, w.d_minus)
 
             fd = central_diff(score, protos.vectors.ravel(), h).reshape(analytic.shape)
@@ -150,9 +151,9 @@ def test_gradient_oracle_suite():
         lam = rng.uniform(0.05, 1.5, size=n)
         rel = RelevanceProfile(lam)
         fd = central_diff(lambda l: RelevanceProfile(l).dist(v, w), lam, h)
-        assert_grad_close(grad_lambda(v, w, rel), fd, rtol=1e-4, label="lambda")
+        assert_grad_close(grad_lambda(v - w, rel), fd, rtol=1e-4, label="lambda")
         fd = central_diff(lambda ww: rel.dist(v, ww), w, h)
-        assert_grad_close(grad_proto_lambda(v, w, rel), fd, rtol=1e-4, label="proto-lambda")
+        assert_grad_close(grad_proto_lambda(v - w, rel), fd, rtol=1e-4, label="proto-lambda")
 
     for _ in range(100):  # projected metric, both gradient routes
         n = int(rng.integers(2, 7))
@@ -160,9 +161,9 @@ def test_gradient_oracle_suite():
         v, w = rng.normal(size=n), rng.normal(size=n)
         om = OmegaMatrix(rng.normal(size=(m, n)))
         fd = central_diff_matrix(lambda o: OmegaMatrix(o).dist(v, w), om.omega, h)
-        assert_grad_close(grad_omega(v, w, om), fd, rtol=1e-4, label="omega")
+        assert_grad_close(grad_omega(v - w, om), fd, rtol=1e-4, label="omega")
         fd = central_diff(lambda ww: om.dist(v, ww), w, h)
-        assert_grad_close(grad_proto_omega(v, w, om), fd, rtol=1e-4, label="proto-omega")
+        assert_grad_close(grad_proto_omega(v - w, om), fd, rtol=1e-4, label="proto-omega")
 
     for _ in range(100):  # smooth absolute value
         x = float(rng.uniform(-3, 3))

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from sparselvq import trainer
 from sparselvq.cli import main
 from sparselvq.dataset import SplitSpec, load_csv, save_csv, split, synth_sparse
 from sparselvq.glvq import PrototypeSet
@@ -211,6 +212,37 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "['2']" in err
         assert not (tmp_path / "e.json").exists()
+
+    def test_unnamed_model_rejects_classes_beyond_its_prototypes(self, tmp_path, capsys):
+        model = LVQModel("glvq", PrototypeSet(np.zeros((2, 6)), np.array([0, 1])))
+        assert model.label_names is None
+        mpath = tmp_path / "m.json"
+        save_model(model, mpath)
+        three = tmp_path / "three.csv"
+        save_csv(synth_sparse(6, 2, 3, 4, 1.0, 5), three)
+        capsys.readouterr()
+        code = run_cli(["eval", "--model", mpath, "--data", three, "--out", tmp_path / "e.json"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "['2']" in err
+        assert not (tmp_path / "e.json").exists()
+
+    def test_predicts_once(self, tmp_path, tiny_csv, monkeypatch):
+        out = tmp_path / "run"
+        assert run_cli(["train", "--data", tiny_csv, "--epochs", 1, "--out", out]) == 0
+        calls = []
+        original = trainer.distance_matrix
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "distance_matrix", counting)
+        assert main(["eval", "--model", str(out / "model.json"), "--data", str(tiny_csv),
+                     "--out", str(tmp_path / "e.json")]) == 0
+        assert len(calls) == 1
+        report = json.loads((tmp_path / "e.json").read_text())
+        assert report["accuracy"] == np.trace(report["confusion"]) / report["n_samples"]
 
     @pytest.mark.parametrize("edit,message", [
         pytest.param(lambda d: d.update({"lambda": None}), "lambda", id="grlvq-without-lambda"),

@@ -10,6 +10,7 @@ from sparselvq.glvq import (
     NoSameClassPrototype,
     PrototypeSet,
     TransferFn,
+    class_index_table,
     classifier_mu,
     init_prototypes,
     winners_from_distances,
@@ -26,10 +27,14 @@ def euclid_model(protos):
     return LVQModel("grlvq", protos, RelevanceProfile(np.ones(protos.n_features)))
 
 
+def search(dists, proto_labels, label):
+    """Winner search through the per-class table, as a training pass builds it."""
+    return winners_from_distances(dists, *class_index_table(proto_labels, [label])[label])
+
+
 def winners(sample, label, protos):
     """Winner search as the SGD step runs it, under squared Euclidean distance."""
-    return winners_from_distances(_dists_to_protos(euclid_model(protos), sample),
-                                  protos.labels, label)
+    return search(_dists_to_protos(euclid_model(protos), sample)[1], protos.labels, label)
 
 
 def random_setup(rng, n=4, n_protos=5, n_classes=3):
@@ -80,7 +85,7 @@ class TestFindWinners:
     def test_tie_breaks_to_lowest_index(self):
         d = np.array([1.0, 1.0, 0.5, 0.5])
         labels = np.array([0, 0, 1, 1])
-        win = winners_from_distances(d, labels, 0)
+        win = search(d, labels, 0)
         assert (win.idx_plus, win.idx_minus) == (0, 2)
 
     def test_missing_class_errors(self):
@@ -89,6 +94,22 @@ class TestFindWinners:
             winners(np.zeros(2), 0, protos)
         with pytest.raises(NoOtherClassPrototype):
             winners(np.zeros(2), 1, protos)
+
+
+class TestClassIndexTable:
+    def test_ascending_groups_for_each_class_in_the_data(self):
+        table = class_index_table(np.array([1, 0, 1, 2]), np.array([2, 1, 1, 2]))
+        assert sorted(table) == [1, 2]
+        same, other = table[1]
+        assert same.tolist() == [0, 2] and other.tolist() == [1, 3]
+        same, other = table[2]
+        assert same.tolist() == [3] and other.tolist() == [0, 1, 2]
+
+    def test_a_class_only_in_the_data_errors(self):
+        with pytest.raises(NoSameClassPrototype):
+            class_index_table(np.array([0, 1]), np.array([0, 1, 2]))
+        with pytest.raises(NoOtherClassPrototype):
+            class_index_table(np.array([0, 0]), np.array([0]))
 
 
 class TestClassifierMu:
@@ -229,7 +250,7 @@ class TestPrototypeGradientInvariant:
             sample, protos = random_setup(rng)
             label = int(rng.integers(0, 2))
             dists = np.sum((sample - protos.vectors) ** 2, axis=1)
-            win = winners_from_distances(dists, protos.labels, label)
+            win = search(dists, protos.labels, label)
             same = np.sort(dists[protos.labels == label])
             other = np.sort(dists[protos.labels != label])
             # skip configurations where an FD nudge could flip the winner
@@ -244,8 +265,7 @@ class TestPrototypeGradientInvariant:
 
             def loss(flat):
                 W = flat.reshape(protos.vectors.shape)
-                w = winners_from_distances(np.sum((sample - W) ** 2, axis=1),
-                                           protos.labels, label)
+                w = search(np.sum((sample - W) ** 2, axis=1), protos.labels, label)
                 return 0.5 * classifier_mu(w.d_plus, w.d_minus)
 
             fd = np.zeros(protos.vectors.size)

@@ -6,8 +6,11 @@ import pytest
 
 from sparselvq.dataset import LabeledDataset, SplitSpec, split, synth_sparse
 from sparselvq.glvq import (
+    NoOtherClassPrototype,
+    NoSameClassPrototype,
     PrototypeSet,
     TransferFn,
+    class_index_table,
     classifier_mu,
     winners_from_distances,
     xi_factors,
@@ -248,7 +251,8 @@ class TestTrainEpoch:
         model = random_model(rng, kind)
         v, label = rng.normal(size=5), 1
         W0, met0 = model.protos.vectors.copy(), model.copy().metric
-        win = winners_from_distances(met0.dists(v - W0), model.protos.labels, label)
+        win = winners_from_distances(met0.dists(v - W0),
+                                     *class_index_table(model.protos.labels, [label])[label])
         xp, xm = xi_factors(win.d_plus, win.d_minus, IDENTITY,
                             classifier_mu(win.d_plus, win.d_minus))
         cfg = TrainConfig(model_kind=kind, rate_proto=0.05, rate_metric=0.02)
@@ -258,14 +262,14 @@ class TestTrainEpoch:
         W = model.protos.vectors
         for i, xi in ((win.idx_plus, xp), (win.idx_minus, xm)):
             np.testing.assert_allclose(
-                W[i], W0[i] - cfg.rate_proto * xi * met0.proto_grad(v, W0[i]), rtol=1e-12)
+                W[i], W0[i] - cfg.rate_proto * xi * met0.proto_grad(v - W0[i]), rtol=1e-12)
         others = np.setdiff1d(np.arange(W.shape[0]), [win.idx_plus, win.idx_minus])
         assert np.array_equal(W[others], W0[others])
         if kind == "glvq":
             assert np.array_equal(model.metric.params, met0.params)
         else:
-            g = (xp * met0.param_grad(v, W0[win.idx_plus])
-                 + xm * met0.param_grad(v, W0[win.idx_minus])
+            g = (xp * met0.param_grad(v - W0[win.idx_plus])
+                 + xm * met0.param_grad(v - W0[win.idx_minus])
                  + reg_weight * met0.penalty_grad(cfg.alpha))
             expected = met0.stepped(met0.params - cfg.rate_metric * g)
             np.testing.assert_allclose(model.metric.params, expected.params, rtol=1e-12)
@@ -298,6 +302,42 @@ class TestTrainEpoch:
         with np.errstate(all="ignore"), pytest.raises(NonFiniteUpdate) as exc:
             train(model, data, cfg, rng=rng)
         assert exc.value.step >= 0
+
+    @pytest.mark.parametrize("proto_labels, y, error", [
+        # class 2 has no prototype; its one sample comes last in the data
+        ([0, 1, 0, 1], [0, 1] * 15 + [2], NoSameClassPrototype),
+        ([1, 1], [1] * 31, NoOtherClassPrototype),
+    ])
+    def test_uncovered_class_fails_before_any_prototype_moves(self, proto_labels, y, error):
+        rng = np.random.default_rng(37)
+        data = LabeledDataset(rng.normal(size=(31, 5)), np.array(y))
+        model = LVQModel("grlvq", PrototypeSet(rng.normal(size=(len(proto_labels), 5)),
+                                               np.array(proto_labels)),
+                         RelevanceProfile.uniform(5))
+        before_w, before_l = model.protos.vectors.copy(), model.rel.lam.copy()
+        cfg = TrainConfig(model_kind="grlvq", rate_proto=0.1, rate_metric=0.1)
+        for seed in range(5):  # whatever the order, the check comes first
+            with pytest.raises(error):
+                train_epoch(model, data, cfg, 0.0, np.random.default_rng(seed))
+            assert np.array_equal(model.protos.vectors, before_w)
+            assert np.array_equal(model.rel.lam, before_l)
+
+    @pytest.mark.parametrize("width", [1, 4, 6])
+    def test_data_of_the_wrong_width_raises_dimension_mismatch(self, width):
+        rng = np.random.default_rng(41)
+        model = random_model(rng, "grlvq")  # 5 features
+        data = LabeledDataset(rng.normal(size=(12, width)), np.repeat([0, 1, 2], 4))
+        before = model.protos.vectors.copy()
+        with pytest.raises(DimensionMismatch):
+            train_epoch(model, data, TrainConfig(), 0.0, np.random.default_rng(0))
+        assert np.array_equal(model.protos.vectors, before)
+
+    def test_metric_of_the_wrong_width_raises_dimension_mismatch(self):
+        model = random_model(np.random.default_rng(43), "grlvq")
+        model.rel = RelevanceProfile.uniform(4)
+        data = LabeledDataset(np.zeros((3, 5)), np.array([0, 1, 2]))
+        with pytest.raises(DimensionMismatch):
+            train_epoch(model, data, TrainConfig(), 0.0, np.random.default_rng(0))
 
     def test_normalization_invariant_every_epoch(self):
         data = small_data(seed=19, n_dims=10, n_informative=4)
