@@ -94,7 +94,7 @@ class TransferFn:
 
     def deriv(self, x):
         if self.kind == "identity":
-            return np.ones_like(np.asarray(x, dtype=float)) if np.ndim(x) else 1.0
+            return 1.0 if isinstance(x, (int, float)) else np.ones_like(np.asarray(x, dtype=float))
         s = self.value(x)
         return self.slope * s * (1.0 - s)
 

@@ -10,6 +10,12 @@ smooth two-argument max. That max is (1/a) * log(exp(a*x) + exp(a*y)), so
 it is associative and the fold equals (1/a) * logsumexp(a * sums); the
 column-by-column loop stays only until it is replaced by that closed form.
 
+For a|x| well below 2 the surrogate is close to the quadratic
+2*log(2)/a + a*x**2/4, so on small parameters it acts like a ridge term:
+by itself it shrinks weights but does not make them exactly zero. The
+profile's exact zeros come from the trainer's clamp at zero; the matrix
+norm has no such clamp and leaves Omega's columns nonzero.
+
 All functions are pure and operate on plain floats or numpy arrays.
 """
 

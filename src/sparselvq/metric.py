@@ -7,8 +7,10 @@ many prototypes), the projection that turns the metric into the squared
 Euclidean distance, the gradients, the smooth l1 penalty and the
 clamp/normalize step. The methods reach the module functions below and
 `l1smooth` by global lookup, so those stay the single implementation.
-The gradients take the difference row `v - w` unchecked (the training
-step holds it); `dist(v, w)` checks two raw vectors against the metric.
+`winner_grads` takes the two winners' difference rows `v - w` unchecked
+(the training step holds them) and returns both prototype gradients and
+the xi-weighted data gradient of the metric parameters in one call;
+`dist(v, w)` checks two raw vectors against the metric.
 Distance and gradient evaluations are pure; `stepped` and the
 clamp/normalize functions return new wrapper objects and are meant to
 run inside the single-threaded training step.
@@ -16,6 +18,7 @@ run inside the single-threaded training step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,13 +73,16 @@ class RelevanceProfile:
     def dist(self, v, w) -> float:
         return float(self.dists(_delta(v, w, self)[np.newaxis])[0])
 
-    def proto_grad(self, delta: np.ndarray) -> np.ndarray:
-        return grad_proto_lambda(delta, self)
-
-    def param_grad(self, delta: np.ndarray) -> np.ndarray:
-        return grad_lambda(delta, self)
+    def winner_grads(self, D2: np.ndarray, xi) -> tuple[np.ndarray, np.ndarray | None]:
+        """d dist / d w for each row of the difference block D2 (the step
+        passes the two winners' rows), and sum_k xi[k] * d dist(D2[k]) / d lam,
+        or None for xi None."""
+        G = grad_proto_lambda(D2, self)
+        return G, None if xi is None else grad_lambda(D2, xi, self)
 
     def penalty(self, alpha: float) -> float:
+        """Smooth l1 norm of lam; with the clamp in `stepped` its gradient
+        drives small weights to exact zeros."""
         return l1smooth.l1_smooth(self.lam, alpha)
 
     def penalty_grad(self, alpha: float) -> np.ndarray:
@@ -129,13 +135,17 @@ class OmegaMatrix:
     def dist(self, v, w) -> float:
         return float(self.dists(_delta(v, w, self)[np.newaxis])[0])
 
-    def proto_grad(self, delta: np.ndarray) -> np.ndarray:
-        return grad_proto_omega(delta, self)
-
-    def param_grad(self, delta: np.ndarray) -> np.ndarray:
-        return grad_omega(delta, self)
+    def winner_grads(self, D2: np.ndarray, xi) -> tuple[np.ndarray, np.ndarray | None]:
+        """d dist / d w for each row of the difference block D2 (the step
+        passes the two winners' rows), and sum_k xi[k] * d dist(D2[k]) / d O,
+        or None for xi None. Both read one projection P2 = D2 O^T."""
+        P2 = D2 @ self.omega.T
+        G = grad_proto_omega(P2, self)
+        return G, None if xi is None else grad_omega(P2, D2, xi)
 
     def penalty(self, alpha: float) -> float:
+        """Smooth max-column-sum norm of O. There is no clamp: it shrinks
+        the largest columns, which spreads the mass, and zeroes none."""
         return l1smooth.matrix_l1_smooth(self.omega, alpha)
 
     def penalty_grad(self, alpha: float) -> np.ndarray:
@@ -156,29 +166,35 @@ def _delta(v, w, met: RelevanceProfile | OmegaMatrix) -> np.ndarray:
     return v - w
 
 
-def grad_proto_lambda(delta: np.ndarray, rel: RelevanceProfile) -> np.ndarray:
-    """d dist / d w at delta = v - w, i.e. -2 * lam^2 * delta."""
-    return -2.0 * rel.lam**2 * delta
+def grad_proto_lambda(D: np.ndarray, rel: RelevanceProfile) -> np.ndarray:
+    """d dist / d w for each difference row delta = v - w of D: -2 * lam^2 * delta."""
+    return -2.0 * rel.lam**2 * D
 
 
-def grad_proto_omega(delta: np.ndarray, om: OmegaMatrix) -> np.ndarray:
-    """d dist / d w at delta = v - w, i.e. -2 * O^T O delta."""
-    return -2.0 * (om.omega.T @ (om.omega @ delta))
+def grad_proto_omega(P: np.ndarray, om: OmegaMatrix) -> np.ndarray:
+    """d dist / d w for each row of D, from its projection P = D O^T:
+    -2 * O^T O delta per row, i.e. -2 * P O."""
+    return -2.0 * (P @ om.omega)
 
 
-def grad_lambda(delta: np.ndarray, rel: RelevanceProfile) -> np.ndarray:
-    """Componentwise d dist / d lam_j = 2 * lam_j * delta_j^2, delta = v - w."""
-    return 2.0 * rel.lam * delta**2
+def grad_lambda(D: np.ndarray, xi, rel: RelevanceProfile) -> np.ndarray:
+    """sum_k xi[k] * d dist / d lam at the rows delta of the 2-D block D, where
+    d dist / d lam_j = 2 * lam_j * delta_j^2; for two rows, bit for bit
+    xi[0] * g(D[0]) + xi[1] * g(D[1])."""
+    return (np.asarray(xi)[:, np.newaxis] * (2.0 * rel.lam * D**2)).sum(axis=0)
 
 
-def grad_omega(delta: np.ndarray, om: OmegaMatrix) -> np.ndarray:
-    """Entrywise d dist / d O_rc = 2 * [O delta]_r * delta_c, delta = v - w."""
-    return 2.0 * np.outer(om.omega @ delta, delta)
+def grad_omega(P: np.ndarray, D: np.ndarray, xi) -> np.ndarray:
+    """sum_k xi[k] * d dist / d O at the rows delta of the 2-D block D, from
+    P = D O^T: d dist / d O_rc = 2 * [O delta]_r * delta_c, so the sum is
+    2 * (xi P)^T D: for the step's two rows, one rank-2 product."""
+    return 2.0 * ((np.asarray(xi)[:, np.newaxis] * P).T @ D)
 
 
 def normalize_lambda(rel: RelevanceProfile) -> RelevanceProfile:
     """Rescale so that sum(lam_i^2) = 1; direction preserved."""
-    norm = float(np.linalg.norm(rel.lam))
+    x = rel.lam.ravel("K")
+    norm = math.sqrt(x @ x)  # what np.linalg.norm computes, without its dispatch
     if norm == 0.0:
         raise AllZeroParameters("relevance profile is all zero")
     return RelevanceProfile(rel.lam / norm)
@@ -186,7 +202,8 @@ def normalize_lambda(rel: RelevanceProfile) -> RelevanceProfile:
 
 def normalize_omega(om: OmegaMatrix) -> OmegaMatrix:
     """Rescale so that the sum of squared entries (Frobenius norm sq.) is 1."""
-    norm = float(np.linalg.norm(om.omega))
+    x = om.omega.ravel("K")
+    norm = math.sqrt(x @ x)
     if norm == 0.0:
         raise AllZeroParameters("projection matrix is all zero")
     return OmegaMatrix(om.omega / norm)
@@ -195,7 +212,7 @@ def normalize_omega(om: OmegaMatrix) -> OmegaMatrix:
 def clamp_lambda(rel: RelevanceProfile) -> RelevanceProfile:
     """Zero out negative components (applied before normalize_lambda)."""
     clamped = np.maximum(rel.lam, 0.0)
-    if not np.any(clamped > 0.0):
+    if not (clamped > 0.0).any():
         raise AllZeroParameters("clamping zeroed the whole relevance profile")
     return RelevanceProfile(clamped)
 

@@ -2,10 +2,11 @@
 
 One epoch is a pass over a seeded random permutation of the training
 samples. Each sample: one difference array D = v - W, winner search from
-its distances, gradient step on the two winning prototypes from D's
-winner rows, then one combined metric step of the data-term gradient
-plus reg_weight times the smooth l1 gradient, followed by clamp (profile
-case) and renormalization. GLVQ is GRLVQ with the profile frozen at
+its distances, one `winner_grads` call on D's two winner rows for both
+prototype gradients and the metric's data-term gradient, a step on the
+two winning prototypes, then one combined metric step of the data-term
+gradient plus reg_weight times the smooth l1 gradient, followed by clamp
+(profile case) and renormalization. GLVQ is GRLVQ with the profile frozen at
 uniform: it takes no metric step. `run_path` ramps reg_weight linearly
 and snapshots the model per step.
 """
@@ -141,7 +142,9 @@ class LVQModel:
     """Labeled prototypes and one metric: `omega` for gmlvq, else `rel`.
 
     A glvq model holds the uniform profile, filled in here; training
-    keeps it frozen and model files leave it out.
+    keeps it frozen and model files leave it out. A model carrying the
+    wrong metric for its kind, or both, raises ValueError; a metric whose
+    width differs from the prototypes' raises DimensionMismatch.
     """
 
     kind: str
@@ -153,6 +156,12 @@ class LVQModel:
     def __post_init__(self):
         if self.kind == "glvq" and self.rel is None:
             self.rel = RelevanceProfile.uniform(self.n_features)
+        key = "omega" if self.kind == "gmlvq" else "rel"
+        if (self.rel is not None and self.omega is not None) or getattr(self, key) is None:
+            raise ValueError(f"a {self.kind} model must carry `{key}` and no other metric")
+        if self.metric.n_dims != self.n_features:
+            raise DimensionMismatch(f"the metric has {self.metric.n_dims} dims, "
+                                    f"the prototypes {self.n_features}")
 
     @property
     def n_features(self) -> int:
@@ -226,8 +235,6 @@ class LVQModel:
                                  f"carry `{key}`")
             if value is not None and not np.all(np.isfinite(value)):
                 raise ValueError(f"`{key}` contains non-finite entries")
-        if lam is not None and lam.shape != (n,):
-            raise ValueError(f"`lambda` has shape {lam.shape}, expected ({n},)")
         if om is not None and not (om.ndim == 2 and 1 <= om.shape[0] <= om.shape[1] == n):
             raise ValueError(f"`omega` has shape {om.shape}, expected (m, {n}) "
                              f"with 1 <= m <= {n}")
@@ -405,27 +412,24 @@ def train_epoch(
     f = config.transfer
     alpha = config.alpha
 
-    order = rng.permutation(train_data.n_samples)
+    order = rng.permutation(train_data.n_samples).tolist()
+    labels = y.tolist()
     for step, idx in enumerate(order):
         D, dists = _dists_to_protos(model, X[idx])
-        win = winners_from_distances(dists, *table[y[idx]])
-        if win.d_plus + win.d_minus == 0.0:
+        ip, im, d_plus, d_minus = winners_from_distances(dists, *table[labels[idx]])
+        if d_plus + d_minus == 0.0:
             continue
-        mu = classifier_mu(win.d_plus, win.d_minus)
-        xp, xm = xi_factors(win.d_plus, win.d_minus, f, mu)
-        dp, dm = D[win.idx_plus], D[win.idx_minus]
+        mu = classifier_mu(d_plus, d_minus)
+        xp, xm = xi_factors(d_plus, d_minus, f, mu)
         met = model.metric
 
         # all gradients taken at the pre-step state: D is not written below
-        gp = met.proto_grad(dp)
-        gm = met.proto_grad(dm)
-        if rate_m:
-            g_metric = xp * met.param_grad(dp) + xm * met.param_grad(dm)
-            if reg_weight:
-                g_metric += reg_weight * met.penalty_grad(alpha)
+        G, g_metric = met.winner_grads(D.take((ip, im), axis=0), (xp, xm) if rate_m else None)
+        if rate_m and reg_weight:
+            g_metric += reg_weight * met.penalty_grad(alpha)
 
-        W[win.idx_plus] -= rate_p * xp * gp
-        W[win.idx_minus] -= rate_p * xm * gm
+        W[ip] -= rate_p * xp * G[0]
+        W[im] -= rate_p * xm * G[1]
         ok = np.isfinite(W).all()
 
         if ok and rate_m:
@@ -436,8 +440,8 @@ def train_epoch(
         if not ok:
             raise NonFiniteUpdate(
                 t * train_data.n_samples + step,
-                f"epoch {t}, sample {int(idx)}, reg_weight {reg_weight}, "
-                f"rates ({rate_p:g}, {rate_m:g}), d+ {win.d_plus:g}, d- {win.d_minus:g}",
+                f"epoch {t}, sample {idx}, reg_weight {reg_weight}, "
+                f"rates ({rate_p:g}, {rate_m:g}), d+ {d_plus:g}, d- {d_minus:g}",
             )
 
     if model.omega is not None:

@@ -32,14 +32,7 @@ from sparselvq.l1smooth import (
     matrix_l1_smooth_grad,
     sandwich_check,
 )
-from sparselvq.metric import (
-    OmegaMatrix,
-    RelevanceProfile,
-    grad_lambda,
-    grad_omega,
-    grad_proto_lambda,
-    grad_proto_omega,
-)
+from sparselvq.metric import OmegaMatrix, RelevanceProfile
 from sparselvq.trainer import (
     PathSchedule,
     TrainConfig,
@@ -150,20 +143,22 @@ def test_gradient_oracle_suite():
         v, w = rng.normal(size=n), rng.normal(size=n)
         lam = rng.uniform(0.05, 1.5, size=n)
         rel = RelevanceProfile(lam)
+        G, g = rel.winner_grads((v - w)[np.newaxis], [1.0])
         fd = central_diff(lambda l: RelevanceProfile(l).dist(v, w), lam, h)
-        assert_grad_close(grad_lambda(v - w, rel), fd, rtol=1e-4, label="lambda")
+        assert_grad_close(g, fd, rtol=1e-4, label="lambda")
         fd = central_diff(lambda ww: rel.dist(v, ww), w, h)
-        assert_grad_close(grad_proto_lambda(v - w, rel), fd, rtol=1e-4, label="proto-lambda")
+        assert_grad_close(G[0], fd, rtol=1e-4, label="proto-lambda")
 
     for _ in range(100):  # projected metric, both gradient routes
         n = int(rng.integers(2, 7))
         m = int(rng.integers(1, n + 1))
         v, w = rng.normal(size=n), rng.normal(size=n)
         om = OmegaMatrix(rng.normal(size=(m, n)))
+        G, g = om.winner_grads((v - w)[np.newaxis], [1.0])
         fd = central_diff_matrix(lambda o: OmegaMatrix(o).dist(v, w), om.omega, h)
-        assert_grad_close(grad_omega(v - w, om), fd, rtol=1e-4, label="omega")
+        assert_grad_close(g, fd, rtol=1e-4, label="omega")
         fd = central_diff(lambda ww: om.dist(v, ww), w, h)
-        assert_grad_close(grad_proto_omega(v - w, om), fd, rtol=1e-4, label="proto-omega")
+        assert_grad_close(G[0], fd, rtol=1e-4, label="proto-omega")
 
     for _ in range(100):  # smooth absolute value
         x = float(rng.uniform(-3, 3))
@@ -249,7 +244,13 @@ def test_sparse_recovery_experiment(grlvq_run):
 
 def test_gmlvq_path_smoke(acceptance_splits, grlvq_run):
     """Projection-metric path run completes with the normalization
-    invariant intact and accuracy near the profile-metric baseline."""
+    invariant intact and accuracy near the profile-metric baseline.
+
+    It also pins which way the ramp moves Omega's mass on the true
+    dimensions, sum(profile[:10]**2): the max-column-sum penalty is lowest
+    when the columns are equal, so over the second half of the ramp the
+    mass falls step by step, ending below the weight-0 snapshot. The
+    penalty does not sparsify Omega's columns at this alpha."""
     tr, te = acceptance_splits
     cfg = TrainConfig(model_kind="gmlvq", epochs=30, omega_rows=20, seed=SEED)
     rng = np.random.default_rng(cfg.seed)
@@ -262,14 +263,20 @@ def test_gmlvq_path_smoke(acceptance_splits, grlvq_run):
 
     train(model, tr, cfg, 0.0, test_data=te, rng=rng, callback=watch_norm)
     schedule = PathSchedule(0.0, 0.3, steps=10, epochs_per_step=4)
-    path_metrics, _ = run_path(model, tr, cfg, schedule, test_data=te, rng=rng,
-                               t0=cfg.epochs, callback=watch_norm)
+    path_metrics, snapshots = run_path(model, tr, cfg, schedule, test_data=te, rng=rng,
+                                       t0=cfg.epochs, callback=watch_norm)
+    mass = [float(np.sum(s.profile()[:N_INFORMATIVE] ** 2)) for s in snapshots]
+    _report("gmlvq path true-dimension mass per step: "
+            + " ".join(f"{x:.4f}" for x in mass))
 
     worst = max(deviations)
     assert worst <= 1e-10, f"normalization drifted to {worst:.3e}"
     final_acc = path_metrics[-1].test_accuracy
     floor = grlvq_run["pretrain_test_accuracy"] - 0.10
     assert final_acc >= floor, f"final accuracy {final_acc:.3f} below {floor:.3f}"
+    half = len(mass) // 2
+    assert all(a > b for a, b in zip(mass[half:], mass[half + 1:])), mass
+    assert mass[-1] < mass[0], mass
     _report(
         "ACCEPTANCE PASS: gmlvq path smoke "
         f"(final acc {final_acc:.3f}, max norm deviation {worst:.1e}, "

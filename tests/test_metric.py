@@ -10,8 +10,6 @@ from sparselvq.metric import (
     RelevanceProfile,
     clamp_lambda,
     det_metric,
-    grad_lambda,
-    grad_omega,
     grad_proto_lambda,
     grad_proto_omega,
     normalize_lambda,
@@ -19,6 +17,11 @@ from sparselvq.metric import (
 )
 
 from fdcheck import assert_grad_close, central_diff, central_diff_matrix
+
+
+def row_grad(met, delta):
+    """d dist / d params at one difference row, through the block gradient."""
+    return met.winner_grads(delta[np.newaxis], [1.0])[1]
 
 
 def random_instance(rng, n=6, m=None):
@@ -93,7 +96,7 @@ class TestGradients:
         rng = np.random.default_rng(4)
         v, _, rel, om = random_instance(rng)
         assert np.all(grad_proto_lambda(v - v, rel) == 0.0)
-        assert np.all(grad_proto_omega(v - v, om) == 0.0)
+        assert np.all(grad_proto_omega(om.project(v - v), om) == 0.0)
 
     def test_grad_proto_identity_metric_is_plain_shift(self):
         v = np.array([1.0, 2.0, 3.0])
@@ -114,15 +117,15 @@ class TestGradients:
         for _ in range(100):
             v, w, _, om = random_instance(rng, n=5, m=3)
             fd = central_diff(lambda ww: om.dist(v, ww), w)
-            assert_grad_close(grad_proto_omega(v - w, om), fd, rtol=1e-5,
+            assert_grad_close(grad_proto_omega(om.project(v - w), om), fd, rtol=1e-5,
                               label="proto/omega")
 
     def test_grad_lambda_components(self):
         rng = np.random.default_rng(7)
         v, w, rel, _ = random_instance(rng)
-        assert np.all(grad_lambda(v - v, rel) == 0.0)
+        assert np.all(row_grad(rel, v - v) == 0.0)
         rel0 = RelevanceProfile(np.array([0.5, 0.0, 0.3]))
-        g = grad_lambda(np.array([1.0, 2.0, 3.0]) - np.zeros(3), rel0)
+        g = row_grad(rel0, np.array([1.0, 2.0, 3.0]) - np.zeros(3))
         assert g[1] == 0.0
 
     def test_grad_lambda_fd(self):
@@ -130,18 +133,18 @@ class TestGradients:
         for _ in range(100):
             v, w, rel, _ = random_instance(rng)
             fd = central_diff(lambda l: RelevanceProfile(l).dist(v, w), rel.lam)
-            assert_grad_close(grad_lambda(v - w, rel), fd, rtol=1e-5, label="lambda")
+            assert_grad_close(row_grad(rel, v - w), fd, rtol=1e-5, label="lambda")
 
     def test_grad_omega_scalar_case(self):
         # 1x1: d = (a*x)^2, derivative 2*a*x^2
         a, x = 0.7, 1.3
-        g = grad_omega(np.array([x]) - np.array([0.0]), OmegaMatrix(np.array([[a]])))
+        g = row_grad(OmegaMatrix(np.array([[a]])), np.array([x]) - np.array([0.0]))
         assert g[0, 0] == pytest.approx(2 * a * x**2, rel=1e-12)
 
     def test_grad_omega_zero_at_equal_points(self):
         rng = np.random.default_rng(9)
         v, _, _, om = random_instance(rng, n=5, m=3)
-        assert np.all(grad_omega(v - v, om) == 0.0)
+        assert np.all(row_grad(om, v - v) == 0.0)
 
     def test_grad_omega_fd(self):
         rng = np.random.default_rng(10)
@@ -150,7 +153,88 @@ class TestGradients:
             fd = central_diff_matrix(
                 lambda o: OmegaMatrix(o).dist(v, w), om.omega
             )
-            assert_grad_close(grad_omega(v - w, om), fd, rtol=1e-5, label="omega")
+            assert_grad_close(row_grad(om, v - w), fd, rtol=1e-5, label="omega")
+
+
+class TestWinnerGradients:
+    """The two-row block the SGD step passes: both prototype gradients and
+    the xi-weighted metric gradient from one call."""
+
+    @staticmethod
+    def block(rng, n):
+        D2 = rng.normal(size=(2, n))
+        D2[int(rng.integers(2))] = 0.0  # a sample sitting on one winner
+        xi = (float(rng.uniform(0.1, 2.0)), -float(rng.uniform(0.1, 2.0)))
+        return D2, xi
+
+    def test_lambda_block_fd(self):
+        rng = np.random.default_rng(14)
+        for _ in range(50):
+            n = int(rng.integers(1, 8))
+            D2, (xp, xm) = self.block(rng, n)
+            rel = RelevanceProfile(rng.uniform(0.05, 1.5, size=n))
+
+            def data_term(lam):
+                met = RelevanceProfile(lam)
+                return xp * met.dist(D2[0], 0 * D2[0]) + xm * met.dist(D2[1], 0 * D2[1])
+
+            G, g = rel.winner_grads(D2, (xp, xm))
+            assert_grad_close(g, central_diff(data_term, rel.lam), rtol=1e-5,
+                              label="xi-weighted lambda")
+            for k in (0, 1):
+                fd = central_diff(lambda ww: rel.dist(D2[k], ww), 0 * D2[k])
+                assert_grad_close(G[k], fd, rtol=1e-5, label=f"proto/lambda row {k}")
+
+    def test_omega_block_fd(self):
+        rng = np.random.default_rng(15)
+        for _ in range(50):
+            n = int(rng.integers(1, 7))
+            D2, (xp, xm) = self.block(rng, n)
+            om = OmegaMatrix(rng.normal(size=(int(rng.integers(1, n + 1)), n)))
+
+            def data_term(o):
+                met = OmegaMatrix(o)
+                return xp * met.dist(D2[0], 0 * D2[0]) + xm * met.dist(D2[1], 0 * D2[1])
+
+            G, g = om.winner_grads(D2, (xp, xm))
+            assert_grad_close(g, central_diff_matrix(data_term, om.omega), rtol=1e-5,
+                              label="xi-weighted omega")
+            for k in (0, 1):
+                fd = central_diff(lambda ww: om.dist(D2[k], ww), 0 * D2[k])
+                assert_grad_close(G[k], fd, rtol=1e-5, label=f"proto/omega row {k}")
+
+    def test_omega_block_matches_per_row_formulas(self):
+        rng = np.random.default_rng(16)
+        for _ in range(50):
+            n = int(rng.integers(2, 40))
+            D2, (xp, xm) = self.block(rng, n)
+            D2[D2[:, 0] == 0.0] = rng.normal(size=n)  # no zero row: relative check
+            O = rng.normal(size=(int(rng.integers(1, n + 1)), n))
+            G, g = OmegaMatrix(O).winner_grads(D2, (xp, xm))
+            # relative to the largest entry: entries that cancel carry only its rounding
+            for k in (0, 1):
+                ref = -2.0 * O.T @ (O @ D2[k])
+                np.testing.assert_allclose(G[k], ref, rtol=1e-12,
+                                           atol=1e-12 * np.abs(ref).max())
+            terms = (xp * 2.0 * np.outer(O @ D2[0], D2[0]), xm * 2.0 * np.outer(O @ D2[1], D2[1]))
+            np.testing.assert_allclose(g, terms[0] + terms[1], rtol=1e-12,
+                                       atol=1e-12 * max(np.abs(t).max() for t in terms))
+
+    def test_lambda_block_is_bit_identical_to_the_per_row_sum(self):
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            n = int(rng.integers(1, 300))
+            D2, (xp, xm) = self.block(rng, n)
+            lam = rng.uniform(0.0, 1.0, size=n)
+            G, g = RelevanceProfile(lam).winner_grads(D2, (xp, xm))
+            assert np.array_equal(g, xp * (2.0 * lam * D2[0]**2) + xm * (2.0 * lam * D2[1]**2))
+            assert np.array_equal(G, -2.0 * lam**2 * D2)
+
+    def test_no_factors_no_metric_gradient(self):
+        D2 = np.ones((2, 3))
+        for met in (RelevanceProfile.uniform(3), OmegaMatrix(np.eye(3))):
+            G, g = met.winner_grads(D2, None)
+            assert g is None and G.shape == (2, 3)
 
 
 class TestNormalizeClamp:
@@ -176,6 +260,14 @@ class TestNormalizeClamp:
         a = normalize_lambda(RelevanceProfile(lam))
         b = normalize_lambda(RelevanceProfile(c * lam))
         assert np.allclose(a.lam, b.lam, atol=1e-12)
+
+    def test_normalize_divides_by_the_numpy_norm(self):
+        rng = np.random.default_rng(18)
+        lam = rng.uniform(0.0, 1.0, size=201)
+        assert np.array_equal(normalize_lambda(RelevanceProfile(lam)).lam,
+                              lam / np.linalg.norm(lam))
+        for O in (rng.normal(size=(20, 200)), np.asfortranarray(rng.normal(size=(7, 9)))):
+            assert np.array_equal(normalize_omega(OmegaMatrix(O)).omega, O / np.linalg.norm(O))
 
     def test_normalize_all_zero(self):
         with pytest.raises(AllZeroParameters):

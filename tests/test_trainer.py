@@ -15,7 +15,7 @@ from sparselvq.glvq import (
     winners_from_distances,
     xi_factors,
 )
-from sparselvq.l1smooth import l1_exact
+from sparselvq.l1smooth import abs_smooth_grad, l1_exact, matrix_l1_smooth_grad
 from sparselvq.metric import DimensionMismatch, OmegaMatrix, RelevanceProfile
 from sparselvq.trainer import (
     DIST_BLOCK_ROWS,
@@ -260,19 +260,70 @@ class TestTrainEpoch:
         train_epoch(model, LabeledDataset(v[np.newaxis], np.array([label])), cfg,
                     reg_weight, np.random.default_rng(0))
         W = model.protos.vectors
-        for i, xi in ((win.idx_plus, xp), (win.idx_minus, xm)):
-            np.testing.assert_allclose(
-                W[i], W0[i] - cfg.rate_proto * xi * met0.proto_grad(v - W0[i]), rtol=1e-12)
+        G, g_data = met0.winner_grads(v - W0[[win.idx_plus, win.idx_minus]], (xp, xm))
+        for k, (i, xi) in enumerate(((win.idx_plus, xp), (win.idx_minus, xm))):
+            np.testing.assert_allclose(W[i], W0[i] - cfg.rate_proto * xi * G[k], rtol=1e-12)
         others = np.setdiff1d(np.arange(W.shape[0]), [win.idx_plus, win.idx_minus])
         assert np.array_equal(W[others], W0[others])
         if kind == "glvq":
             assert np.array_equal(model.metric.params, met0.params)
         else:
-            g = (xp * met0.param_grad(v - W0[win.idx_plus])
-                 + xm * met0.param_grad(v - W0[win.idx_minus])
-                 + reg_weight * met0.penalty_grad(cfg.alpha))
+            g = g_data + reg_weight * met0.penalty_grad(cfg.alpha)
             expected = met0.stepped(met0.params - cfg.rate_metric * g)
             np.testing.assert_allclose(model.metric.params, expected.params, rtol=1e-12)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_epoch_matches_the_per_pair_reference(self, kind):
+        """One epoch against a loop that takes one gradient per winner row:
+        -2 lam^2 delta and 2 lam delta^2, or -2 O^T O delta and
+        2 outer(O delta, delta), combined as xi+ g+ + xi- g-."""
+        data = small_data(seed=59, n_dims=12, n_informative=4, classes=3, per_class=15)
+        cfg = TrainConfig(model_kind=kind, omega_rows=5, protos_per_class=2,
+                          rate_proto=0.05, rate_metric=0.01, seed=59)
+        model = init_model(data, cfg)
+        train(model, data, cfg, 0.0, epochs=2)  # a state away from the initial one
+        W, labels = model.protos.vectors.copy(), model.protos.labels
+        lam = model.rel.lam.copy() if model.rel is not None else None
+        O = model.omega.omega.copy() if model.omega is not None else None
+        t, reg_weight, alpha = 3, 0.2, cfg.alpha
+        decay = 1.0 / (1.0 + cfg.rate_decay * t)
+        rate_p, rate_m = cfg.rate_proto * decay, cfg.rate_metric * decay
+        X, y = data.features, data.labels
+        for idx in np.random.default_rng(5).permutation(data.n_samples):
+            D = X[idx] - W
+            dists = D**2 @ lam**2 if O is None else np.einsum("ij,ij->i", D @ O.T, D @ O.T)
+            same, other = np.flatnonzero(labels == y[idx]), np.flatnonzero(labels != y[idx])
+            ip, im = same[dists[same].argmin()], other[dists[other].argmin()]
+            dp, dm = float(dists[ip]), float(dists[im])
+            if dp + dm == 0.0:
+                continue
+            common = 2.0 * 1.0 / (dp + dm) ** 2  # f'(mu) = 1 for the identity transfer
+            xp, xm = common * dm, -common * dp
+            if O is None:
+                gp, gm = -2.0 * lam**2 * D[ip], -2.0 * lam**2 * D[im]
+                g = xp * (2.0 * lam * D[ip] ** 2) + xm * (2.0 * lam * D[im] ** 2)
+                g += reg_weight * abs_smooth_grad(lam, alpha)
+            else:
+                gp, gm = -2.0 * (O.T @ (O @ D[ip])), -2.0 * (O.T @ (O @ D[im]))
+                g = (xp * (2.0 * np.outer(O @ D[ip], D[ip]))
+                     + xm * (2.0 * np.outer(O @ D[im], D[im])))
+                g += reg_weight * matrix_l1_smooth_grad(O, alpha)
+            W[ip] -= rate_p * xp * gp
+            W[im] -= rate_p * xm * gm
+            if kind == "grlvq":
+                lam = np.maximum(lam - rate_m * g, 0.0)
+                lam = lam / np.linalg.norm(lam)
+            elif kind == "gmlvq":
+                O = O - rate_m * g
+                O = O / np.linalg.norm(O)
+
+        train_epoch(model, data, cfg, reg_weight, np.random.default_rng(5), t)
+        if kind == "gmlvq":
+            np.testing.assert_allclose(model.protos.vectors, W, rtol=1e-12)
+            np.testing.assert_allclose(model.omega.omega, O, rtol=1e-12)
+        else:
+            assert np.array_equal(model.protos.vectors, W)
+            assert np.array_equal(model.rel.lam, lam)
 
     def test_separable_blobs_reach_high_accuracy(self):
         data = synth_sparse(2, 2, 2, 50, noise_sigma=1.0, seed=13)
@@ -560,6 +611,32 @@ class TestModelValidation:
         path.write_text(json.dumps(d))
         with pytest.raises(ValueError):
             load_model(path)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_metric_width_differs_from_the_prototypes(self, kind):
+        protos = PrototypeSet(np.zeros((2, 5)), [0, 1])
+        if kind == "gmlvq":
+            metrics = {"omega": OmegaMatrix(np.eye(4))}
+        else:
+            metrics = {"rel": RelevanceProfile.uniform(4)}
+        with pytest.raises(DimensionMismatch, match="4 dims"):
+            LVQModel(kind, protos, **metrics)
+
+    def test_grlvq_without_a_profile(self):
+        with pytest.raises(ValueError, match="must carry `rel`"):
+            LVQModel("grlvq", PrototypeSet(np.zeros((2, 5)), [0, 1]))
+
+    def test_gmlvq_without_a_projection(self):
+        protos = PrototypeSet(np.zeros((2, 5)), [0, 1])
+        for rel in (None, RelevanceProfile.uniform(5)):
+            with pytest.raises(ValueError, match="must carry `omega`"):
+                LVQModel("gmlvq", protos, rel)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_both_metrics(self, kind):
+        with pytest.raises(ValueError, match="no other metric"):
+            LVQModel(kind, PrototypeSet(np.zeros((2, 5)), [0, 1]),
+                     RelevanceProfile.uniform(5), OmegaMatrix(np.eye(5)))
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_valid_model_json_loads(self, kind):
