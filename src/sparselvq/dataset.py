@@ -105,11 +105,13 @@ class LabeledDataset:
         return np.bincount(self.labels, minlength=self.n_classes)
 
     def subset(self, idx) -> "LabeledDataset":
-        idx = np.asarray(idx, dtype=int)
-        return LabeledDataset(
-            self.features[idx].copy(), self.labels[idx].copy(),
-            self.dim_names, self.label_names,
-        )
+        """Rows by index, or the rows where a mask with one entry per row is True."""
+        idx = np.asarray(idx)
+        if idx.dtype != bool:
+            idx = idx.astype(int, copy=False)
+        elif idx.shape != self.labels.shape:
+            raise DatasetError(f"mask of shape {idx.shape} for {self.n_samples} rows")
+        return LabeledDataset(self.features[idx], self.labels[idx], self.dim_names, self.label_names)
 
 
 @dataclass(frozen=True)
@@ -238,9 +240,9 @@ def select_bands(data: LabeledDataset, keep) -> LabeledDataset:
     if any(b <= a for a, b in zip(keep, keep[1:])):
         raise DatasetError("keep indices must be strictly increasing")
     dim_names = [data.dim_names[i] for i in keep] if data.dim_names else None
-    return LabeledDataset(
-        data.features[:, keep].copy(), data.labels.copy(), dim_names, data.label_names
-    )
+    # take, not [:, keep]: one row-major copy; fancy indexing gives a column-major one
+    return LabeledDataset(data.features.take(keep, axis=1), data.labels.copy(), dim_names,
+                          data.label_names)
 
 
 def split(data: LabeledDataset, spec: SplitSpec) -> tuple[LabeledDataset, LabeledDataset]:
@@ -321,6 +323,8 @@ def synth_sparse(
         mags = base * rng.uniform(4.0, 8.0, size=(classes, n_informative))
         means[:, :n_informative] = signs * mags
 
-    labels = np.repeat(np.arange(classes), per_class)
-    noise = noise_sigma * rng.standard_normal((labels.size, n_dims))
-    return LabeledDataset(means[labels] + noise, labels)
+    # in place in one array; IEEE * and + commute: same bits as means[labels] + sigma * noise
+    x = rng.standard_normal((classes, per_class, n_dims))
+    x *= noise_sigma
+    x += means[:, np.newaxis]
+    return LabeledDataset(x.reshape(-1, n_dims), np.repeat(np.arange(classes), per_class))

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,19 @@ def write(tmp_path, text, name="data.csv"):
     p = tmp_path / name
     p.write_text(text, encoding="utf-8", newline="")
     return p
+
+
+def peak_over_output(fn, *args):
+    """Peak traced bytes while fn(*args) runs, over the bytes of what it returns
+    (the features and labels of every dataset). 1.0 means no temporary at all."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    outs = out if isinstance(out, tuple) else (out,)
+    return peak / sum(d.features.nbytes + d.labels.nbytes for d in outs)
 
 
 class TestLoadCsv:
@@ -266,6 +280,52 @@ class TestSelectBands:
         out = select_bands(data, [0, 2])
         assert out.dim_names == ["a", "c"]
 
+    def test_memory_is_one_output(self):
+        data = LabeledDataset(np.random.default_rng(5).normal(size=(5000, 256)), np.zeros(5000))
+        assert peak_over_output(select_bands, data, range(0, 256, 2)) < 1.25
+
+    def test_result_is_row_major(self):
+        data = LabeledDataset(np.random.default_rng(6).normal(size=(50, 9)), np.zeros(50))
+        out = select_bands(data, [1, 4, 8])
+        assert out.features.flags.c_contiguous
+        assert np.array_equal(out.features, data.features[:, [1, 4, 8]])
+
+
+class TestSubset:
+    def three_and_three(self):
+        return LabeledDataset(np.arange(12, dtype=float).reshape(6, 2), np.array([0, 0, 0, 1, 1, 1]))
+
+    def test_mask_selects_rows_where_true(self):
+        data = self.three_and_three()
+        out = data.subset(data.labels == 1)
+        assert np.array_equal(out.labels, [1, 1, 1])
+        assert np.array_equal(out.features, data.features[3:])
+
+    @pytest.mark.parametrize("n", [0, 5, 7])
+    def test_mask_of_wrong_length_rejected(self, n):
+        with pytest.raises(DatasetError, match="mask"):
+            self.three_and_three().subset(np.ones(n, dtype=bool))
+
+    def test_indices_keep_order_and_repeats(self):
+        data = self.three_and_three()
+        out = data.subset([4, 0, 4])
+        assert np.array_equal(out.labels, [1, 0, 1])
+        assert np.array_equal(out.features, data.features[[4, 0, 4]])
+        assert data.subset([]).n_samples == 0
+
+    def test_result_does_not_alias_the_input(self):
+        data = self.three_and_three()
+        for out in (data.subset([0, 1]), data.subset(data.labels == 0)):
+            out.features[:] = -1.0
+            out.labels[:] = 9
+        assert np.array_equal(data.features, np.arange(12, dtype=float).reshape(6, 2))
+        assert np.array_equal(data.labels, [0, 0, 0, 1, 1, 1])
+
+    def test_memory_is_one_output(self):
+        data = synth_sparse(100, 5, 4, 2500, 1.0, 3)
+        perm = np.random.default_rng(0).permutation(data.n_samples)
+        assert peak_over_output(data.subset, perm) < 1.25
+
 
 class TestSplit:
     def test_sizes(self):
@@ -307,6 +367,10 @@ class TestSplit:
     def test_bad_fraction(self):
         with pytest.raises(DatasetError):
             SplitSpec(1.0)
+
+    def test_memory_is_one_output(self):
+        data = synth_sparse(100, 5, 4, 2500, 1.0, 3)
+        assert peak_over_output(split, data, SplitSpec(0.8, seed=1)) < 1.25
 
 
 def nearest_class_mean_accuracy(train, test):
@@ -372,3 +436,48 @@ class TestSynthSparse:
         ])
         # every class mean magnitude at least ~4 sigma on informative dims
         assert np.all(np.abs(means[:, :2]) > 3.5 * sigma)
+
+    def test_memory_is_one_output(self):
+        assert peak_over_output(synth_sparse, 100, 5, 4, 2500, 1.0, 3) < 1.25
+
+    @pytest.mark.parametrize("args", [
+        (200, 10, 5, 40, 1.0),
+        (12, 3, 4, 7, 0.0),  # noise_sigma 0: the rows are the class means
+        (9, 0, 3, 11, 1.0),  # no informative dims: no sign or magnitude draws
+        (6, 1, 2, 5, 0.5),  # 2 classes on 1 sign: about half of the seeds redraw
+        (7, 2, 4, 3, 2.0),  # 4 classes on 2 signs: every pattern once
+        (5, 2, 6, 2, 1.0),  # more classes than sign patterns: no redraw
+    ])
+    def test_matches_reference_formula(self, args):
+        redraws = 0
+        for seed in range(8):
+            ref, n = reference_synth_sparse(*args, seed)
+            redraws += n
+            out = synth_sparse(*args, seed)
+            assert np.array_equal(out.features, ref.features)
+            assert np.array_equal(out.labels, ref.labels)
+        if args[1:3] == (1, 2):
+            assert redraws > 0
+
+
+def reference_synth_sparse(n_dims, n_informative, classes, per_class, noise_sigma, seed):
+    """synth_sparse as the plain formula means[labels] + sigma * noise, with its
+    RNG draws in the same order; also returns how many sign rows were redrawn."""
+    rng = np.random.default_rng(seed)
+    base = noise_sigma if noise_sigma > 0 else 1.0
+    means = np.zeros((classes, n_dims))
+    redraws = 0
+    if n_informative > 0:
+        signs = rng.integers(0, 2, size=(classes, n_informative)) * 2 - 1
+        for _ in range(1000 if 2**n_informative >= classes else 0):
+            rows = [tuple(r) for r in signs]
+            dup = next((c for c in range(1, classes) if rows[c] in rows[:c]), -1)
+            if dup < 0:
+                break
+            signs[dup] = rng.integers(0, 2, size=n_informative) * 2 - 1
+            redraws += 1
+        mags = base * rng.uniform(4.0, 8.0, size=(classes, n_informative))
+        means[:, :n_informative] = signs * mags
+    labels = np.repeat(np.arange(classes), per_class)
+    noise = noise_sigma * rng.standard_normal((labels.size, n_dims))
+    return LabeledDataset(means[labels] + noise, labels), redraws
