@@ -65,6 +65,18 @@ class InvalidCounts(DatasetError):
     pass
 
 
+def _check_finite(a: np.ndarray) -> None:
+    """Raise NonFiniteValue at the first NaN or inf cell of the 2-D array a.
+    A finite sum clears every cell without an (N, n) mask; a non-finite one
+    scans, and finds nothing when finite cells overflowed the sum."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = a.sum()
+    if not math.isfinite(total):
+        bad = np.argwhere(~np.isfinite(a))
+        if bad.size:
+            raise NonFiniteValue(*bad[0].tolist())
+
+
 @dataclass
 class LabeledDataset:
     features: np.ndarray  # (N, n) float64
@@ -83,9 +95,7 @@ class LabeledDataset:
             )
         if self.labels.size and self.labels.min() < 0:
             raise DatasetError("labels must be non-negative class indices")
-        if not np.all(np.isfinite(self.features)):
-            bad = np.argwhere(~np.isfinite(self.features))[0]
-            raise NonFiniteValue(int(bad[0]), int(bad[1]))
+        _check_finite(self.features)
         if self.dim_names is not None and len(self.dim_names) != self.features.shape[1]:
             raise DatasetError("dim_names length does not match feature count")
 
@@ -159,9 +169,7 @@ def load_csv(path, label_column: str) -> LabeledDataset:
             fh.seek(start)
             _raise_first_bad_cell(csv.reader(fh), len(header), label_idx)
             raise DatasetError(f"{path}: {exc}") from exc
-    bad = np.argwhere(~np.isfinite(table))
-    if bad.size:
-        raise NonFiniteValue(*bad[0].tolist())
+    _check_finite(table)
     return LabeledDataset(np.delete(table, label_idx, axis=1), table[:, label_idx].astype(int),
                           header[:label_idx] + header[label_idx + 1:], list(mapping))
 
@@ -253,26 +261,21 @@ def split(data: LabeledDataset, spec: SplitSpec) -> tuple[LabeledDataset, Labele
     """
     rng = np.random.default_rng(spec.seed)
     n = data.n_samples
+    train = np.zeros(n, dtype=bool)
     if spec.stratified:
-        train_ids = []
         for c in range(data.n_classes):
             idx = np.flatnonzero(data.labels == c)
             if idx.size < 2:
                 raise ClassTooSmall(c, int(idx.size))
             perm = rng.permutation(idx)
             k = int(round(spec.train_fraction * idx.size))
-            k = min(max(k, 1), idx.size - 1)
-            train_ids.append(perm[:k])
-        train_idx = np.sort(np.concatenate(train_ids))
+            train[perm[:min(max(k, 1), idx.size - 1)]] = True
     else:
         perm = rng.permutation(n)
         k = int(round(spec.train_fraction * n))
-        k = min(max(k, 1), n - 1)
-        train_idx = np.sort(perm[:k])
-    mask = np.zeros(n, dtype=bool)
-    mask[train_idx] = True
-    test_idx = np.flatnonzero(~mask)
-    return data.subset(train_idx), data.subset(test_idx)
+        train[perm[:min(max(k, 1), n - 1)]] = True
+    # boolean masks keep each side in row order
+    return data.subset(train), data.subset(~train)
 
 
 def synth_sparse(

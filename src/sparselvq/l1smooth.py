@@ -12,9 +12,12 @@ column-by-column loop stays only until it is replaced by that closed form.
 
 For a|x| well below 2 the surrogate is close to the quadratic
 2*log(2)/a + a*x**2/4, so on small parameters it acts like a ridge term:
-by itself it shrinks weights but does not make them exactly zero. The
-profile's exact zeros come from the trainer's clamp at zero; the matrix
-norm has no such clamp and leaves Omega's columns nonzero.
+by itself it shrinks weights but does not make them exactly zero. Nor
+does training: near zero the profile's data gradient and the penalty
+gradient are both proportional to the weight, so each step scales it by
+a factor close to 1, and the trainer's clamp at zero fires only when one
+step overshoots. Sparsity is reported as the share of squared weights
+below a threshold. The matrix norm leaves Omega's columns nonzero.
 
 All functions are pure and operate on plain floats or numpy arrays.
 """

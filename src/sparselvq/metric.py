@@ -81,8 +81,9 @@ class RelevanceProfile:
         return G, None if xi is None else grad_lambda(D2, xi, self)
 
     def penalty(self, alpha: float) -> float:
-        """Smooth l1 norm of lam; with the clamp in `stepped` its gradient
-        drives small weights to exact zeros."""
+        """Smooth l1 norm of lam. Its gradient shrinks small weights toward
+        zero by a factor per step; the clamp in `stepped` zeroes only an
+        overshoot, so sparsity counts weights below a threshold."""
         return l1smooth.l1_smooth(self.lam, alpha)
 
     def penalty_grad(self, alpha: float) -> np.ndarray:

@@ -40,11 +40,11 @@ MODEL_KINDS = ("glvq", "grlvq", "gmlvq")
 
 DET_WARN_THRESHOLD = 1e-12
 
-# rows per block in distance_matrix; bounds its working memory. 128 rows keep
-# the projection by a 20 x 200 Omega at 512,000 multiply-adds, which OpenBLAS
-# (0.3.31) still runs on one thread. Larger products wake its worker threads,
-# which stall on a loaded machine and spin on after the call, slowing the code
-# that follows; a wider Omega still takes that path
+# rows per block in distance_matrix; bounds its working memory. At 128 rows
+# OpenBLAS (0.3.31) runs both products on one thread, the projection by a
+# 20 x 200 Omega included. At 256 rows that projection wakes a second thread
+# and a 100,000 x 200 GMLVQ predict slows (41 ms on two threads, 34 ms on
+# one, on a 2-core Xeon); a wider Omega still takes that path
 DIST_BLOCK_ROWS = 128
 
 
@@ -322,9 +322,9 @@ def distance_matrix(model: LVQModel, X: np.ndarray) -> np.ndarray:
         rows = X[start:start + DIST_BLOCK_ROWS]
         P = met.project(np.subtract(rows, centre, out=buf[:rows.shape[0]]))
         block = out[start:start + DIST_BLOCK_ROWS]
-        # einsum, not P @ Q.T: the (rows, M) product is too small to gain from
-        # multithreaded BLAS, whose thread wake-ups stall on a loaded machine
-        np.einsum("ij,kj->ik", P, Q, out=block)
+        # BLAS, not einsum's generic loop: at (128, n) x (n, M) OpenBLAS (0.3.31)
+        # stays on one thread, so no worker wakes; 4x faster at n = 200, M = 5
+        np.matmul(P, Q.T, out=block)
         block *= -2.0
         block += np.einsum("ij,ij->i", P, P)[:, np.newaxis]
         block += q_sq

@@ -153,6 +153,20 @@ class TestDistanceMatrix:
         assert distance_matrix(model, X) == pytest.approx(
             self.scalar_distances(model, X), rel=1e-9)
 
+    @pytest.mark.parametrize("offset", [0.0, 1e3])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_wide_rows_across_blocks_match_scalar_metric(self, kind, offset):
+        # image-sized width: the cross term runs through BLAS, whose blocked
+        # summation order differs from the scalar metric's
+        rng = np.random.default_rng(97)
+        model = random_model(rng, kind, n=200, n_classes=5, protos_per_class=1, m=20)
+        model.protos.vectors += offset
+        X = rng.normal(size=(2 * DIST_BLOCK_ROWS + 3, 200)) + offset
+        scalar = self.scalar_distances(model, X)
+        np.testing.assert_allclose(distance_matrix(model, X), scalar, rtol=1e-12)
+        assert np.array_equal(predict(model, X),
+                              model.protos.labels[np.argmin(scalar, axis=1)])
+
     @pytest.mark.parametrize("offset", [0.0, 1e6])
     @pytest.mark.parametrize("kind", KINDS)
     def test_row_equal_to_a_prototype_is_at_zero_and_wins(self, kind, offset):
