@@ -13,6 +13,7 @@ import datetime
 import json
 import logging
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +28,10 @@ from .dataset import (
     split,
     synth_sparse,
 )
+from .glvq import TransferFn
 from .metric import DimensionMismatch
 from .trainer import (
+    MODEL_KINDS,
     LVQModel,
     NonFiniteUpdate,
     PathSchedule,
@@ -79,28 +82,29 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--data", help="input CSV")
         p.add_argument("--label-col", default="label")
         p.add_argument("--out", help="run directory (required unless replaying)")
-        p.add_argument("--model", choices=("glvq", "grlvq", "gmlvq"), default="grlvq")
-        p.add_argument("--epochs", type=int, default=100,
+        p.add_argument("--model", choices=MODEL_KINDS, default=TrainConfig.model_kind)
+        p.add_argument("--epochs", type=int, default=TrainConfig.epochs,
                        help="training epochs (for `path`: the unregularized pretraining phase)")
-        p.add_argument("--rate-proto", type=float, default=1e-2)
-        p.add_argument("--rate-metric", type=float, default=1e-3)
-        p.add_argument("--rate-decay", type=float, default=1e-3)
-        p.add_argument("--alpha", type=float, default=5.0, help="l1 smoothing sharpness")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--rate-proto", type=float, default=TrainConfig.rate_proto)
+        p.add_argument("--rate-metric", type=float, default=TrainConfig.rate_metric)
+        p.add_argument("--rate-decay", type=float, default=TrainConfig.rate_decay)
+        p.add_argument("--alpha", type=float, default=TrainConfig.alpha,
+                       help="l1 smoothing sharpness")
+        p.add_argument("--seed", type=int, default=TrainConfig.seed)
         p.add_argument("--transfer", choices=("identity", "sigmoid"), default="identity")
         p.add_argument("--sigmoid-slope", type=float, default=1.0)
-        p.add_argument("--protos-per-class", type=int, default=1)
+        p.add_argument("--protos-per-class", type=int, default=TrainConfig.protos_per_class)
         p.add_argument("--omega-rows", type=int, default=None,
                        help="projection rows for gmlvq (default: square)")
-        p.add_argument("--sparsity-threshold", type=float, default=1e-4)
+        p.add_argument("--sparsity-threshold", type=float, default=TrainConfig.sparsity_threshold)
         p.add_argument("--train-fraction", type=float, default=0.7)
         p.add_argument("--no-stratify", action="store_true")
         p.add_argument("--l2-normalize", action="store_true")
         if name == "path":
-            p.add_argument("--reg-start", type=float, default=0.0)
-            p.add_argument("--reg-end", type=float, default=1.0)
-            p.add_argument("--reg-steps", type=int, default=20)
-            p.add_argument("--epochs-per-step", type=int, default=10)
+            p.add_argument("--reg-start", type=float, default=PathSchedule.reg_weight_start)
+            p.add_argument("--reg-end", type=float, default=PathSchedule.reg_weight_end)
+            p.add_argument("--reg-steps", type=int, default=PathSchedule.steps)
+            p.add_argument("--epochs-per-step", type=int, default=PathSchedule.epochs_per_step)
         p.set_defaults(func=cmd_run)
 
     p_eval = sub.add_parser("eval", help="evaluate a saved model on a dataset")
@@ -134,29 +138,18 @@ def _manifest_from_args(args, command: str) -> dict:
         raise UsageError("--out is required")
     if args.model == "gmlvq" and args.omega_rows is not None and args.omega_rows < 1:
         raise UsageError(f"--omega-rows must be >= 1, got {args.omega_rows}")
-    transfer = {"kind": args.transfer,
-                "slope": args.sigmoid_slope if args.transfer == "sigmoid" else 1.0}
-    config = {
-        "model_kind": args.model,
-        "epochs": args.epochs,
-        "rate_proto": args.rate_proto,
-        "rate_metric": args.rate_metric,
-        "rate_decay": args.rate_decay,
-        "alpha": args.alpha,
-        "seed": args.seed,
-        "transfer": transfer,
-        "omega_rows": args.omega_rows if args.omega_rows is not None else 0,
-        "protos_per_class": args.protos_per_class,
-        "sparsity_threshold": args.sparsity_threshold,
-    }
+    slope = args.sigmoid_slope if args.transfer == "sigmoid" else 1.0
+    config = TrainConfig(
+        model_kind=args.model, epochs=args.epochs, rate_proto=args.rate_proto,
+        rate_metric=args.rate_metric, rate_decay=args.rate_decay, alpha=args.alpha,
+        seed=args.seed, transfer=TransferFn(args.transfer, slope),
+        omega_rows=args.omega_rows or 0, protos_per_class=args.protos_per_class,
+        sparsity_threshold=args.sparsity_threshold,
+    )
     schedule = None
     if command == "path":
-        schedule = {
-            "reg_weight_start": args.reg_start,
-            "reg_weight_end": args.reg_end,
-            "steps": args.reg_steps,
-            "epochs_per_step": args.epochs_per_step,
-        }
+        schedule = PathSchedule(reg_weight_start=args.reg_start, reg_weight_end=args.reg_end,
+                                steps=args.reg_steps, epochs_per_step=args.epochs_per_step)
     return {
         "tool": "sparselvq",
         "version": __version__,
@@ -165,13 +158,10 @@ def _manifest_from_args(args, command: str) -> dict:
         "data": str(args.data),
         "label_column": args.label_col,
         "l2_normalize": bool(args.l2_normalize),
-        "split": {
-            "train_fraction": args.train_fraction,
-            "stratified": not args.no_stratify,
-            "seed": args.seed,
-        },
-        "config": config,
-        "schedule": schedule,
+        "split": asdict(SplitSpec(train_fraction=args.train_fraction,
+                                  stratified=not args.no_stratify, seed=args.seed)),
+        "config": config.to_json_dict(),
+        "schedule": asdict(schedule) if schedule else None,
         "out": str(args.out),
     }
 

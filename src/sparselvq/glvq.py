@@ -37,12 +37,15 @@ class PrototypeSet:
     def __post_init__(self):
         self.vectors = np.asarray(self.vectors, dtype=float)
         self.labels = np.asarray(self.labels, dtype=int)
-        if self.vectors.ndim != 2:
-            raise ValueError(f"prototype vectors must be 2-D, got {self.vectors.shape}")
+        if self.vectors.ndim != 2 or 0 in self.vectors.shape:
+            raise ValueError(f"prototype vectors must be a nonempty 2-D array, "
+                             f"got shape {self.vectors.shape}")
         if self.labels.shape != (self.vectors.shape[0],):
             raise ValueError(
                 f"{self.vectors.shape[0]} prototypes but {self.labels.size} labels"
             )
+        if self.labels.min() < 0:
+            raise ValueError(f"prototype labels must be nonnegative, got {self.labels}")
         if not np.all(np.isfinite(self.vectors)):
             raise ValueError("prototype vectors contain non-finite entries")
 

@@ -105,8 +105,8 @@ class OmegaMatrix:
         if self.omega.ndim != 2:
             raise ValueError(f"projection must be 2-D, got shape {self.omega.shape}")
         m, n = self.omega.shape
-        if m > n:
-            raise ValueError(f"projection must have rows <= columns, got {m}x{n}")
+        if not 1 <= m <= n:
+            raise ValueError(f"projection must have 1 <= rows <= columns, got {m}x{n}")
 
     @property
     def rows(self) -> int:

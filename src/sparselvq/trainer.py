@@ -142,9 +142,11 @@ class LVQModel:
     """Labeled prototypes and one metric: `omega` for gmlvq, else `rel`.
 
     A glvq model holds the uniform profile, filled in here; training
-    keeps it frozen and model files leave it out. A model carrying the
-    wrong metric for its kind, or both, raises ValueError; a metric whose
-    width differs from the prototypes' raises DimensionMismatch.
+    keeps it frozen and model files leave it out. A kind outside
+    MODEL_KINDS, a model carrying the wrong metric for its kind (or
+    both), or `label_names` that is not a list naming every prototype
+    label raises ValueError; a metric whose width differs from the
+    prototypes' raises DimensionMismatch.
     """
 
     kind: str
@@ -154,6 +156,8 @@ class LVQModel:
     label_names: list[str] | None = None
 
     def __post_init__(self):
+        if self.kind not in MODEL_KINDS:
+            raise ValueError(f"model kind must be one of {MODEL_KINDS}, got {self.kind!r}")
         if self.kind == "glvq" and self.rel is None:
             self.rel = RelevanceProfile.uniform(self.n_features)
         key = "omega" if self.kind == "gmlvq" else "rel"
@@ -162,6 +166,11 @@ class LVQModel:
         if self.metric.n_dims != self.n_features:
             raise DimensionMismatch(f"the metric has {self.metric.n_dims} dims, "
                                     f"the prototypes {self.n_features}")
+        names = self.label_names
+        if names is not None and (not isinstance(names, list)
+                                  or self.protos.labels.max() >= len(names)):
+            raise ValueError(f"label_names must be a list with an entry for every "
+                             f"prototype label, got {names!r}")
 
     @property
     def n_features(self) -> int:
@@ -207,47 +216,32 @@ class LVQModel:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "LVQModel":
-        """Inverse of `to_json_dict`, checking the fields against each other.
-
-        Raises ValueError when an entry is missing or of the wrong type,
-        `kind` is not in MODEL_KINDS, `lambda` is not present exactly for
-        grlvq or `omega` exactly for gmlvq, a length differs from
-        `n_features`, Omega has more rows than columns, the labels do not
-        match the vectors or `label_names`, or a value is not finite.
+        """Inverse of `to_json_dict`. The constructors check the model; this
+        checks the file: ValueError when an entry is missing or of the wrong
+        type, `n_features` is not the prototypes' width, `lambda` is present
+        other than for grlvq or `omega` other than for gmlvq, or one of them
+        holds a non-finite value.
         """
         try:
-            kind, n, names = d["kind"], d["n_features"], d.get("label_names")
+            kind, n = d["kind"], d["n_features"]
             protos = PrototypeSet.from_json_dict(d["protos"])
             lam = None if d.get("lambda") is None else np.array(d["lambda"], dtype=float)
             om = None if d.get("omega") is None else np.array(d["omega"], dtype=float)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed model: {type(exc).__name__}: {exc}") from exc
-        if kind not in MODEL_KINDS:
-            raise ValueError(f"model kind must be one of {MODEL_KINDS}, got {kind!r}")
-        if type(n) is not int or n < 1:
-            raise ValueError(f"n_features must be a positive integer, got {n!r}")
-        if protos.n_protos < 1 or protos.n_features != n:
-            raise ValueError(f"prototype vectors have shape {protos.vectors.shape}, "
-                             f"expected (M, {n}) with M >= 1")
+        if type(n) is not int or n != protos.n_features:
+            raise ValueError(f"n_features is {n!r}, the prototype vectors have "
+                             f"{protos.n_features} columns")
         for key, value, owner in (("lambda", lam, "grlvq"), ("omega", om, "gmlvq")):
             if (value is not None) != (kind == owner):
-                raise ValueError(f"a {kind} model must {'' if kind == owner else 'not '}"
-                                 f"carry `{key}`")
+                raise ValueError(f"a model of kind {kind!r} must "
+                                 f"{'' if kind == owner else 'not '}carry `{key}`")
             if value is not None and not np.all(np.isfinite(value)):
                 raise ValueError(f"`{key}` contains non-finite entries")
-        if om is not None and not (om.ndim == 2 and 1 <= om.shape[0] <= om.shape[1] == n):
-            raise ValueError(f"`omega` has shape {om.shape}, expected (m, {n}) "
-                             f"with 1 <= m <= {n}")
-        if protos.labels.min() < 0:
-            raise ValueError(f"prototype labels must be nonnegative, got {protos.labels}")
-        if names is not None and (not isinstance(names, list)
-                                  or protos.labels.max() >= len(names)):
-            raise ValueError(f"label_names must be a list with an entry for every "
-                             f"prototype label, got {names!r}")
         return cls(kind, protos,
                    RelevanceProfile(lam) if lam is not None else None,
                    OmegaMatrix(om) if om is not None else None,
-                   names)
+                   d.get("label_names"))
 
 
 def save_model(model: LVQModel, path) -> None:
@@ -273,10 +267,7 @@ def init_model(data: LabeledDataset, config: TrainConfig,
         rel = RelevanceProfile.uniform(n)
     elif config.model_kind == "gmlvq":
         m = config.omega_rows if config.omega_rows else n
-        if not 1 <= m <= n:
-            raise ValueError(f"omega_rows must be in 1..{n}, got {m}")
-        om = np.zeros((m, n))
-        om[np.arange(m), np.arange(m)] = 1.0 / np.sqrt(n)
+        om = np.eye(m, n) / np.sqrt(n)  # OmegaMatrix rejects m > n
         om += 1e-3 * rng.standard_normal((m, n))
         omega = metric.normalize_omega(OmegaMatrix(om))
     return LVQModel(config.model_kind, protos, rel, omega, data.label_names)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sparselvq import trainer
-from sparselvq.cli import main
+from sparselvq.cli import _manifest_from_args, build_parser, main
 from sparselvq.dataset import SplitSpec, load_csv, save_csv, split, synth_sparse
 from sparselvq.glvq import PrototypeSet
 from sparselvq.trainer import LVQModel, save_model
@@ -294,3 +294,28 @@ class TestManifestContents:
         assert manifest["config"]["seed"] == 5
         assert manifest["split"] == {"train_fraction": 0.7, "stratified": True, "seed": 5}
         assert manifest["data"] == str(tiny_csv)
+
+    @pytest.mark.parametrize("argv,config,schedule", [
+        pytest.param(
+            ["path", "--model", "gmlvq", "--omega-rows", "3", "--transfer", "sigmoid",
+             "--sigmoid-slope", "2.5"],
+            '{"model_kind": "gmlvq", "epochs": 100, "rate_proto": 0.01, "rate_metric": 0.001, '
+            '"rate_decay": 0.001, "alpha": 5.0, "seed": 0, "transfer": {"kind": "sigmoid", '
+            '"slope": 2.5}, "omega_rows": 3, "protos_per_class": 1, "sparsity_threshold": 0.0001}',
+            '{"reg_weight_start": 0.0, "reg_weight_end": 1.0, "steps": 20, "epochs_per_step": 10}',
+            id="path-gmlvq-sigmoid"),
+        pytest.param(
+            ["train"],
+            '{"model_kind": "grlvq", "epochs": 100, "rate_proto": 0.01, "rate_metric": 0.001, '
+            '"rate_decay": 0.001, "alpha": 5.0, "seed": 0, "transfer": {"kind": "identity", '
+            '"slope": 1.0}, "omega_rows": 0, "protos_per_class": 1, "sparsity_threshold": 0.0001}',
+            "null",
+            id="train-defaults"),
+    ])
+    def test_run_settings_text(self, argv, config, schedule):
+        # the manifest's run settings, key order included, as earlier versions wrote them
+        args = build_parser().parse_args(argv + ["--data", "d.csv", "--out", "o"])
+        manifest = _manifest_from_args(args, args.command)
+        assert json.dumps(manifest["split"]) == '{"train_fraction": 0.7, "stratified": true, "seed": 0}'
+        assert json.dumps(manifest["config"]) == config
+        assert json.dumps(manifest["schedule"]) == schedule

@@ -626,6 +626,28 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             load_model(path)
 
+    # the constructors check a model built in memory as load_model checks a file
+    IN_MEMORY = {
+        "unknown-kind": (lambda: LVQModel("lvq3", PrototypeSet(np.zeros((2, 5)), [0, 1]),
+                                          RelevanceProfile.uniform(5)), "model kind"),
+        "negative-label": (lambda: PrototypeSet(np.zeros((2, 5)), [-1, 1]), "nonnegative"),
+        "no-prototypes": (lambda: PrototypeSet(np.zeros((0, 5)), []), "nonempty"),
+        "label-without-a-name": (lambda: LVQModel("glvq", PrototypeSet(np.zeros((2, 5)), [0, 1]),
+                                                  label_names=["a"]), "label_names"),
+        "label-names-not-a-list": (lambda: LVQModel("glvq", PrototypeSet(np.zeros((2, 5)), [0, 1]),
+                                                    label_names="ab"), "label_names"),
+        "omega-without-rows": (lambda: OmegaMatrix(np.zeros((0, 5))), "1 <= rows"),
+        "omega-rows-beyond-the-data": (lambda: init_model(small_data(seed=3, n_dims=4),
+                                                          TrainConfig("gmlvq", omega_rows=5)),
+                                       "1 <= rows"),
+    }
+
+    @pytest.mark.parametrize("case", list(IN_MEMORY))
+    def test_bad_model_in_memory_is_rejected(self, case):
+        build, message = self.IN_MEMORY[case]
+        with pytest.raises(ValueError, match=message):
+            build()
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_metric_width_differs_from_the_prototypes(self, kind):
         protos = PrototypeSet(np.zeros((2, 5)), [0, 1])
