@@ -9,10 +9,10 @@ descent, so ramping the penalty weight drives the profile sparse while
 accuracy is monitored along the path.
 """
 
-from .dataset import LabeledDataset, SplitSpec, l2_normalize, load_csv, save_csv, select_bands, split, synth_sparse
-from .glvq import PrototypeSet, TransferFn, WinnerPair, classifier_mu, init_prototypes, xi_factors
-from .l1smooth import DEFAULT_ALPHA, abs_smooth, abs_smooth_grad, l1_smooth, matrix_l1_exact, matrix_l1_smooth, matrix_l1_smooth_grad, sandwich_check, smooth_max
-from .metric import OmegaMatrix, RelevanceProfile, clamp_lambda, grad_lambda, grad_omega, normalize_lambda, normalize_omega
+from .dataset import LabeledDataset, SplitSpec, l2_normalize, load_csv, save_csv, split, synth_sparse
+from .glvq import PrototypeSet, TransferFn
+from .l1smooth import DEFAULT_ALPHA, abs_smooth, l1_smooth, matrix_l1_exact, matrix_l1_smooth, sandwich_check
+from .metric import OmegaMatrix, RelevanceProfile
 from .trainer import (
     EpochMetrics,
     LVQModel,
@@ -22,6 +22,7 @@ from .trainer import (
     evaluate,
     init_model,
     load_model,
+    predict,
     run_path,
     save_model,
     sparsity_of,

@@ -92,10 +92,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="l1 smoothing sharpness")
         p.add_argument("--seed", type=int, default=TrainConfig.seed)
         p.add_argument("--transfer", choices=("identity", "sigmoid"), default="identity")
-        p.add_argument("--sigmoid-slope", type=float, default=1.0)
+        p.add_argument("--sigmoid-slope", type=float, help="for --transfer sigmoid (default: 1.0)")
         p.add_argument("--protos-per-class", type=int, default=TrainConfig.protos_per_class)
         p.add_argument("--omega-rows", type=int, default=None,
-                       help="projection rows for gmlvq (default: square)")
+                       help="projection rows for --model gmlvq (default: square)")
         p.add_argument("--sparsity-threshold", type=float, default=TrainConfig.sparsity_threshold)
         p.add_argument("--train-fraction", type=float, default=0.7)
         p.add_argument("--no-stratify", action="store_true")
@@ -136,9 +136,13 @@ def _manifest_from_args(args, command: str) -> dict:
         raise UsageError("--data is required (or use --manifest)")
     if args.out is None:
         raise UsageError("--out is required")
-    if args.model == "gmlvq" and args.omega_rows is not None and args.omega_rows < 1:
+    if args.omega_rows is not None and args.model != "gmlvq":
+        raise UsageError(f"--omega-rows applies only to --model gmlvq, not {args.model}")
+    if args.omega_rows is not None and args.omega_rows < 1:
         raise UsageError(f"--omega-rows must be >= 1, got {args.omega_rows}")
-    slope = args.sigmoid_slope if args.transfer == "sigmoid" else 1.0
+    if args.sigmoid_slope is not None and args.transfer != "sigmoid":
+        raise UsageError(f"--sigmoid-slope applies only to --transfer sigmoid, not {args.transfer}")
+    slope = TransferFn.slope if args.sigmoid_slope is None else args.sigmoid_slope
     config = TrainConfig(
         model_kind=args.model, epochs=args.epochs, rate_proto=args.rate_proto,
         rate_metric=args.rate_metric, rate_decay=args.rate_decay, alpha=args.alpha,

@@ -1,6 +1,6 @@
-"""Labeled vector data: CSV ingestion, row normalization, band selection,
-train/test splitting and a synthetic generator with known informative
-dimensions. All file I/O for data lives here.
+"""Labeled vector data: CSV ingestion, row normalization, train/test
+splitting and a synthetic generator with known informative dimensions.
+All file I/O for data lives here.
 
 CSV format: one header row, '.' decimal separator, label column named by
 the caller. Labels (integers or strings) are mapped to indices 0..C-1 in
@@ -49,10 +49,6 @@ class ZeroVectorRow(DatasetError):
     def __init__(self, row: int):
         super().__init__(f"row {row} has zero Euclidean norm")
         self.row = row
-
-
-class IndexOutOfRange(DatasetError):
-    pass
 
 
 class ClassTooSmall(DatasetError):
@@ -110,9 +106,6 @@ class LabeledDataset:
     @property
     def n_classes(self) -> int:
         return int(self.labels.max()) + 1 if self.labels.size else 0
-
-    def class_counts(self) -> np.ndarray:
-        return np.bincount(self.labels, minlength=self.n_classes)
 
     def subset(self, idx) -> "LabeledDataset":
         """Rows by index, or the rows where a mask with one entry per row is True."""
@@ -235,22 +228,6 @@ def l2_normalize(data: LabeledDataset) -> LabeledDataset:
         data.features / norms[:, np.newaxis], data.labels.copy(),
         data.dim_names, data.label_names,
     )
-
-
-def select_bands(data: LabeledDataset, keep) -> LabeledDataset:
-    """Keep only the given feature columns (strictly increasing indices)."""
-    keep = list(keep)
-    if not keep:
-        raise IndexOutOfRange("keep list is empty")
-    for i in keep:
-        if not 0 <= i < data.n_features:
-            raise IndexOutOfRange(f"index {i} outside 0..{data.n_features - 1}")
-    if any(b <= a for a, b in zip(keep, keep[1:])):
-        raise DatasetError("keep indices must be strictly increasing")
-    dim_names = [data.dim_names[i] for i in keep] if data.dim_names else None
-    # take, not [:, keep]: one row-major copy; fancy indexing gives a column-major one
-    return LabeledDataset(data.features.take(keep, axis=1), data.labels.copy(), dim_names,
-                          data.label_names)
 
 
 def split(data: LabeledDataset, spec: SplitSpec) -> tuple[LabeledDataset, LabeledDataset]:

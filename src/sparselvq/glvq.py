@@ -81,14 +81,6 @@ class TransferFn:
         if self.kind == "sigmoid" and not self.slope > 0:
             raise ValueError("sigmoid slope must be positive")
 
-    @classmethod
-    def identity(cls) -> "TransferFn":
-        return cls("identity")
-
-    @classmethod
-    def sigmoid(cls, slope: float = 1.0) -> "TransferFn":
-        return cls("sigmoid", slope)
-
     def value(self, x):
         if self.kind == "identity":
             return x

@@ -1,6 +1,6 @@
 """Differentiable surrogates for the absolute value, the vector l1 norm and
-the max-column-sum matrix norm, together with the exact norms they
-approximate.
+the max-column-sum matrix norm, together with the exact max-column-sum
+norm and the norm sandwich built on it.
 
 The surrogate of |x| is (1/a) * log(2 + exp(-a*x) + exp(a*x)) for a
 sharpness parameter a > 0. It overestimates |x| by at most 2*log(2)/a and
@@ -67,20 +67,6 @@ def l1_smooth(v, alpha: float = DEFAULT_ALPHA) -> float:
     return float(np.sum(abs_smooth(np.asarray(v, dtype=float), alpha)))
 
 
-def l1_exact(v) -> float:
-    """Exact l1 norm of a vector."""
-    return float(np.sum(np.abs(v)))
-
-
-def smooth_max(x, y, alpha: float = DEFAULT_ALPHA):
-    """Smooth maximum via ``(x + y + abs_smooth(x - y)) / 2``.
-
-    Symmetric in its arguments; the value lies in
-    ``[max(x, y), max(x, y) + log(2)/alpha]``.
-    """
-    return 0.5 * (x + y + abs_smooth(x - y, alpha))
-
-
 def matrix_l1_exact(mat) -> float:
     """Max absolute column sum (the operator norm induced by the vector l1 norm)."""
     m = np.asarray(mat, dtype=float)
@@ -105,10 +91,10 @@ def _fold(omega, alpha: float):
 def matrix_l1_smooth(omega, alpha: float = DEFAULT_ALPHA) -> float:
     """Smooth surrogate of the max-column-sum norm of a matrix.
 
-    Column sums use abs_smooth entries; the max over columns is a
-    left-to-right fold of :func:`smooth_max` (column 0 first), which
-    equals ``logsumexp(alpha * sums) / alpha`` because the smooth max is
-    associative. The error against the exact norm vanishes as alpha grows.
+    Column sums use abs_smooth entries. Their max is a left-to-right fold
+    (column 0 first) of the associative smooth max ``(x + y + abs_smooth(x - y)) / 2``,
+    so it equals ``logsumexp(alpha * sums) / alpha``; the error against
+    the exact norm vanishes as alpha grows.
     """
     *_, prefix = _fold(omega, alpha)
     return prefix[-1]

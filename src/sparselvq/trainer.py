@@ -65,7 +65,7 @@ class TrainConfig:
     rate_decay: float = 1e-3
     alpha: float = l1smooth.DEFAULT_ALPHA
     seed: int = 0
-    transfer: TransferFn = field(default_factory=TransferFn.identity)
+    transfer: TransferFn = field(default_factory=TransferFn)
     omega_rows: int = 0  # gmlvq only; 0 means square (m = n)
     protos_per_class: int = 1
     sparsity_threshold: float = 1e-4
@@ -342,12 +342,11 @@ def evaluate(model: LVQModel, data: LabeledDataset, pred: np.ndarray | None = No
     return float(np.mean(pred == data.labels))
 
 
-def sparsity_of(rel, threshold: float = 1e-4) -> float:
+def sparsity_of(profile, threshold: float) -> float:
     """Fraction of dimensions with squared relevance below the threshold."""
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    lam = rel.lam if isinstance(rel, RelevanceProfile) else np.asarray(rel, dtype=float)
-    return float(np.mean(lam**2 < threshold))
+    return float(np.mean(np.asarray(profile, dtype=float)**2 < threshold))
 
 
 def dataset_cost(model: LVQModel, data: LabeledDataset, f: TransferFn) -> float:
@@ -366,11 +365,6 @@ def dataset_cost(model: LVQModel, data: LabeledDataset, f: TransferFn) -> float:
 def reg_term_of(model: LVQModel, alpha: float) -> float:
     """Smooth l1 regularizer value for the model's metric parameters."""
     return model.metric.penalty(alpha)
-
-
-def regularized_objective(model: LVQModel, data: LabeledDataset, f: TransferFn,
-                          alpha: float, reg_weight: float) -> float:
-    return dataset_cost(model, data, f) + reg_weight * reg_term_of(model, alpha)
 
 
 def train_epoch(

@@ -44,7 +44,7 @@ from sparselvq.trainer import (
 
 from fdcheck import assert_grad_close, central_diff, central_diff_matrix
 
-IDENTITY = TransferFn.identity()
+IDENTITY = TransferFn()
 
 N_DIMS = 200
 N_INFORMATIVE = 10
@@ -217,7 +217,7 @@ def test_sparse_recovery_experiment(grlvq_run):
     assert pre_acc >= 0.90, f"pretraining reached only {pre_acc:.3f}"
 
     model = grlvq_run["model"]
-    final_sparsity = sparsity_of(model.rel, 1e-4)
+    final_sparsity = sparsity_of(model.rel.lam, 1e-4)
     assert final_sparsity >= 0.85, f"final sparsity {final_sparsity:.3f}"
 
     mass_on_true = float(np.sum(model.rel.lam[:N_INFORMATIVE] ** 2))

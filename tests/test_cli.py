@@ -75,6 +75,27 @@ class TestTrainCommand:
                         "--omega-rows", 0, "--out", tmp_path / "r"])
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["train", "path"])
+    @pytest.mark.parametrize("extra,flag", [
+        (["--model", "grlvq", "--omega-rows", 3], "--omega-rows"),
+        (["--model", "glvq", "--omega-rows", 3], "--omega-rows"),
+        (["--sigmoid-slope", 2.5], "--sigmoid-slope"),
+        (["--transfer", "identity", "--sigmoid-slope", 1.0], "--sigmoid-slope"),
+    ], ids=["grlvq-omega-rows", "glvq-omega-rows", "default-transfer-slope",
+            "identity-slope"])
+    def test_option_that_does_not_apply_is_usage_error(self, tmp_path, tiny_csv, capsys,
+                                                       command, extra, flag):
+        out = tmp_path / "r"
+        assert run_cli([command, "--data", tiny_csv, *extra, "--out", out]) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sigmoid_without_a_slope_records_slope_one(self):
+        args = build_parser().parse_args(["train", "--transfer", "sigmoid",
+                                          "--data", "d.csv", "--out", "o"])
+        transfer = _manifest_from_args(args, "train")["config"]["transfer"]
+        assert transfer == {"kind": "sigmoid", "slope": 1.0}
+
     def test_missing_data_is_usage_error(self, tmp_path):
         assert run_cli(["train", "--out", tmp_path / "r"]) == 2
 

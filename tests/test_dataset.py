@@ -9,7 +9,6 @@ from sparselvq.dataset import (
     ClassTooSmall,
     DatasetError,
     EmptyFile,
-    IndexOutOfRange,
     InvalidCounts,
     LabeledDataset,
     MalformedCell,
@@ -20,7 +19,6 @@ from sparselvq.dataset import (
     l2_normalize,
     load_csv,
     save_csv,
-    select_bands,
     split,
     synth_sparse,
 )
@@ -240,7 +238,6 @@ class TestFiniteCheck:
             warnings.simplefilter("error")
             data = LabeledDataset(feats, labels)
             assert np.array_equal(data.subset([1, 0]).features, feats[[1, 0]])
-            assert np.array_equal(select_bands(data, [1]).features, feats[:, [1]])
         assert np.array_equal(data.features, feats)
 
     def test_load_csv_keeps_cells_whose_sum_overflows(self, tmp_path):
@@ -300,46 +297,6 @@ class TestL2Normalize:
     def test_labels_unchanged(self):
         data = LabeledDataset(np.array([[1.0, 1.0], [2.0, 0.0]]), np.array([1, 0]))
         assert np.array_equal(l2_normalize(data).labels, [1, 0])
-
-
-class TestSelectBands:
-    def test_reduction(self):
-        rng = np.random.default_rng(3)
-        data = LabeledDataset(rng.normal(size=(4, 256)), rng.integers(0, 2, size=4))
-        out = select_bands(data, range(200))
-        assert out.n_features == 200
-        assert np.array_equal(out.features, data.features[:, :200])
-
-    def test_identity(self):
-        rng = np.random.default_rng(4)
-        data = LabeledDataset(rng.normal(size=(3, 7)), np.array([0, 1, 0]))
-        out = select_bands(data, range(7))
-        assert np.array_equal(out.features, data.features)
-
-    def test_out_of_range(self):
-        data = LabeledDataset(np.ones((2, 3)), np.array([0, 1]))
-        with pytest.raises(IndexOutOfRange):
-            select_bands(data, [0, 3])
-
-    def test_requires_increasing(self):
-        data = LabeledDataset(np.ones((2, 3)), np.array([0, 1]))
-        with pytest.raises(DatasetError):
-            select_bands(data, [2, 1])
-
-    def test_dim_names_follow(self):
-        data = LabeledDataset(np.ones((2, 3)), np.array([0, 1]), dim_names=["a", "b", "c"])
-        out = select_bands(data, [0, 2])
-        assert out.dim_names == ["a", "c"]
-
-    def test_memory_is_one_output(self):
-        data = LabeledDataset(np.random.default_rng(5).normal(size=(5000, 256)), np.zeros(5000))
-        assert peak_over_output(select_bands, data, range(0, 256, 2)) < 1.02
-
-    def test_result_is_row_major(self):
-        data = LabeledDataset(np.random.default_rng(6).normal(size=(50, 9)), np.zeros(50))
-        out = select_bands(data, [1, 4, 8])
-        assert out.features.flags.c_contiguous
-        assert np.array_equal(out.features, data.features[:, [1, 4, 8]])
 
 
 class TestSubset:

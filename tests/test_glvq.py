@@ -19,7 +19,7 @@ from sparselvq.glvq import (
 from sparselvq.metric import RelevanceProfile
 from sparselvq.trainer import LVQModel, TrainConfig, _dists_to_protos, dataset_cost, train_epoch
 
-IDENTITY = TransferFn.identity()
+IDENTITY = TransferFn()
 
 
 def euclid_model(protos):
@@ -177,7 +177,7 @@ class TestXiFactors:
         with pytest.raises(DegenerateDistances):
             xi_factors(0.0, 0.0, IDENTITY, 0.0)
 
-    @pytest.mark.parametrize("f", [IDENTITY, TransferFn.sigmoid(2.0)])
+    @pytest.mark.parametrize("f", [IDENTITY, TransferFn("sigmoid", 2.0)])
     def test_matches_fd_of_transfer_of_mu(self, f):
         # xi± are the derivatives of f(mu(d+, d-)) w.r.t. the distances
         rng = np.random.default_rng(3)
@@ -288,14 +288,14 @@ class TestTransferFn:
         assert IDENTITY.deriv(0.3) == 1.0
 
     def test_sigmoid_monotone_with_finite_deriv(self):
-        f = TransferFn.sigmoid(3.0)
+        f = TransferFn("sigmoid", 3.0)
         xs = np.linspace(-1, 1, 51)
         vals = f.value(xs)
         assert np.all(np.diff(vals) > 0)
         assert np.all(np.isfinite(f.deriv(xs)))
 
     def test_sigmoid_deriv_matches_fd(self):
-        f = TransferFn.sigmoid(2.5)
+        f = TransferFn("sigmoid", 2.5)
         h = 1e-6
         for x in np.linspace(-0.9, 0.9, 7):
             fd = (f.value(x + h) - f.value(x - h)) / (2 * h)

@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 from sparselvq.l1smooth import (
     abs_smooth,
     abs_smooth_grad,
-    l1_exact,
     l1_smooth,
     matrix_l1_exact,
     matrix_l1_smooth,
     matrix_l1_smooth_grad,
     sandwich_check,
-    smooth_max,
 )
 
 from fdcheck import assert_grad_close, central_diff_matrix
@@ -97,29 +95,7 @@ class TestL1Smooth:
         rng = np.random.default_rng(4)
         v = rng.uniform(-2, 2, size=7)
         alpha = 1e4
-        assert abs(l1_smooth(v, alpha) - l1_exact(v)) <= 2 * v.size * math.log(2.0) / alpha
-
-
-class TestSmoothMax:
-    def test_equal_arguments(self):
-        for alpha in (1.0, 5.0, 100.0):
-            assert smooth_max(3.0, 3.0, alpha) == pytest.approx(
-                3.0 + math.log(4.0) / (2 * alpha), abs=1e-14
-            )
-
-    def test_three_zero(self):
-        assert abs(smooth_max(3.0, 0.0, 5.0) - 3.0) < 0.14
-
-    def test_bound_random_pairs(self):
-        rng = np.random.default_rng(5)
-        for alpha in (1.0, 5.0, 50.0):
-            x = rng.uniform(-10, 10, size=1000)
-            y = rng.uniform(-10, 10, size=1000)
-            err = np.abs(smooth_max(x, y, alpha) - np.maximum(x, y))
-            assert np.all(err <= BOUND / alpha)
-
-    def test_symmetric(self):
-        assert smooth_max(1.2, -0.7, 5.0) == smooth_max(-0.7, 1.2, 5.0)
+        assert abs(l1_smooth(v, alpha) - np.abs(v).sum()) <= 2 * v.size * math.log(2.0) / alpha
 
 
 class TestMatrixL1Smooth:
