@@ -1,7 +1,8 @@
 """Command-line entry point: synth | train | path | eval.
 
 Every training run writes its manifest (all flags, resolved) into the
-output directory before any training happens; re-running from that
+output directory once its model is built, before any training; a run
+whose settings do not fit the data writes nothing. Re-running from that
 manifest reproduces the metrics byte for byte on the same platform.
 Exit codes: 0 ok, 1 runtime failure, 2 usage error.
 """
@@ -206,12 +207,11 @@ def _execute_run(manifest: dict) -> int:
     if normalize:
         data = l2_normalize(data)
     train_data, test_data = split(data, split_spec)
+    rng = np.random.default_rng(config.seed)
+    model = init_model(train_data, config, rng)  # checks the settings against the data
 
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-
-    rng = np.random.default_rng(config.seed)
-    model = init_model(train_data, config, rng)
     logger.info("training %s on %d samples (%d held out), %d features",
                 config.model_kind, train_data.n_samples, test_data.n_samples,
                 data.n_features)

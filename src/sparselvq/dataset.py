@@ -289,16 +289,11 @@ def synth_sparse(
         signs = rng.integers(0, 2, size=(classes, n_informative)) * 2 - 1
         if 2**n_informative >= classes:
             for _ in range(1000):
-                seen = {tuple(signs[0])}
-                dup = -1
-                for c in range(1, classes):
-                    key = tuple(signs[c])
-                    if key in seen:
-                        dup = c
-                        break
-                    seen.add(key)
-                if dup < 0:
+                first = np.unique(signs, axis=0, return_index=True)[1]
+                if first.size == classes:
                     break
+                # redraw the lowest row that repeats an earlier one
+                dup = np.setdiff1d(np.arange(classes), first)[0]
                 signs[dup] = rng.integers(0, 2, size=n_informative) * 2 - 1
         mags = base * rng.uniform(4.0, 8.0, size=(classes, n_informative))
         means[:, :n_informative] = signs * mags

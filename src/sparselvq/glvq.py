@@ -148,26 +148,27 @@ def xi_factors(d_plus: float, d_minus: float, f: TransferFn, mu: float) -> tuple
     return common * d_minus, -common * d_plus
 
 
+INIT_JITTER = 0.01  # prototype start noise, as a fraction of each dimension's std
+
+
 def init_prototypes(
     data: LabeledDataset,
     per_class: int = 1,
-    jitter: float = 0.01,
     rng: np.random.Generator | None = None,
 ) -> PrototypeSet:
-    """Per-class mean plus Gaussian jitter scaled by the per-dimension std."""
+    """`per_class` prototypes per class, each at the class mean plus Gaussian
+    jitter of INIT_JITTER times the per-dimension std, from one draw of
+    shape (classes * per_class, n) taken in prototype order."""
     if per_class < 1:
         raise ValueError("need at least one prototype per class")
     rng = rng if rng is not None else np.random.default_rng(0)
-    n_classes = data.n_classes
-    scale = jitter * data.features.std(axis=0)
-    vectors = []
-    labels = []
-    for c in range(n_classes):
+    means = []
+    for c in range(data.n_classes):
         rows = data.features[data.labels == c]
         if rows.shape[0] == 0:
             raise ValueError(f"class {c} has no samples to initialize from")
-        mean = rows.mean(axis=0)
-        for _ in range(per_class):
-            vectors.append(mean + scale * rng.standard_normal(data.n_features))
-            labels.append(c)
-    return PrototypeSet(np.array(vectors), np.array(labels))
+        means.append(rows.mean(axis=0))
+    scale = INIT_JITTER * data.features.std(axis=0)
+    noise = rng.standard_normal((data.n_classes * per_class, data.n_features))
+    vectors = np.repeat(means, per_class, axis=0) + scale * noise
+    return PrototypeSet(vectors, np.repeat(np.arange(data.n_classes), per_class))

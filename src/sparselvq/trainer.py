@@ -17,7 +17,6 @@ import json
 import logging
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -139,30 +138,30 @@ class EpochMetrics:
 
 @dataclass
 class LVQModel:
-    """Labeled prototypes and one metric: `omega` for gmlvq, else `rel`.
+    """Labeled prototypes and one metric: an OmegaMatrix for gmlvq, else a
+    RelevanceProfile.
 
-    A glvq model holds the uniform profile, filled in here; training
-    keeps it frozen and model files leave it out. A kind outside
-    MODEL_KINDS, a model carrying the wrong metric for its kind (or
-    both), or `label_names` that is not a list naming every prototype
-    label raises ValueError; a metric whose width differs from the
-    prototypes' raises DimensionMismatch.
+    A glvq model built without a metric gets the uniform profile here;
+    training keeps it frozen and model files leave it out. A kind outside
+    MODEL_KINDS, a metric of the wrong class for the kind, or `label_names`
+    that is not a list naming every prototype label raises ValueError; a
+    metric whose width differs from the prototypes' raises DimensionMismatch.
     """
 
     kind: str
     protos: PrototypeSet
-    rel: RelevanceProfile | None = None
-    omega: OmegaMatrix | None = None
+    metric: RelevanceProfile | OmegaMatrix | None = None
     label_names: list[str] | None = None
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"model kind must be one of {MODEL_KINDS}, got {self.kind!r}")
-        if self.kind == "glvq" and self.rel is None:
-            self.rel = RelevanceProfile.uniform(self.n_features)
-        key = "omega" if self.kind == "gmlvq" else "rel"
-        if (self.rel is not None and self.omega is not None) or getattr(self, key) is None:
-            raise ValueError(f"a {self.kind} model must carry `{key}` and no other metric")
+        if self.kind == "glvq" and self.metric is None:
+            self.metric = RelevanceProfile.uniform(self.n_features)
+        want = OmegaMatrix if self.kind == "gmlvq" else RelevanceProfile
+        if not isinstance(self.metric, want):
+            raise ValueError(f"the metric of a {self.kind} model must be a "
+                             f"{want.__name__}, got {type(self.metric).__name__}")
         if self.metric.n_dims != self.n_features:
             raise DimensionMismatch(f"the metric has {self.metric.n_dims} dims, "
                                     f"the prototypes {self.n_features}")
@@ -177,15 +176,14 @@ class LVQModel:
         return self.protos.n_features
 
     @property
-    def metric(self) -> RelevanceProfile | OmegaMatrix:
-        return self.rel if self.omega is None else self.omega
+    def rel(self) -> RelevanceProfile | None:
+        """The metric of a glvq or grlvq model; None for gmlvq."""
+        return None if self.kind == "gmlvq" else self.metric
 
-    @metric.setter
-    def metric(self, met: RelevanceProfile | OmegaMatrix) -> None:
-        if self.omega is None:
-            self.rel = met
-        else:
-            self.omega = met
+    @property
+    def omega(self) -> OmegaMatrix | None:
+        """The metric of a gmlvq model; None for the other kinds."""
+        return self.metric if self.kind == "gmlvq" else None
 
     def profile(self) -> np.ndarray:
         """Effective per-dimension relevance weights (unit square sum)."""
@@ -199,8 +197,7 @@ class LVQModel:
         return LVQModel(
             self.kind,
             self.protos.copy(),
-            RelevanceProfile(self.rel.lam.copy()) if self.rel else None,
-            OmegaMatrix(self.omega.omega.copy()) if self.omega else None,
+            type(self.metric)(self.metric.params.copy()),
             list(self.label_names) if self.label_names else None,
         )
 
@@ -209,8 +206,8 @@ class LVQModel:
             "kind": self.kind,
             "n_features": self.n_features,
             "protos": self.protos.to_json_dict(),
-            "lambda": self.rel.lam.tolist() if self.kind == "grlvq" else None,
-            "omega": self.omega.omega.tolist() if self.omega else None,
+            "lambda": self.metric.lam.tolist() if self.kind == "grlvq" else None,
+            "omega": self.metric.omega.tolist() if self.kind == "gmlvq" else None,
             "label_names": self.label_names,
         }
 
@@ -238,10 +235,11 @@ class LVQModel:
                                  f"{'' if kind == owner else 'not '}carry `{key}`")
             if value is not None and not np.all(np.isfinite(value)):
                 raise ValueError(f"`{key}` contains non-finite entries")
-        return cls(kind, protos,
-                   RelevanceProfile(lam) if lam is not None else None,
-                   OmegaMatrix(om) if om is not None else None,
-                   d.get("label_names"))
+        if kind == "gmlvq":
+            met = OmegaMatrix(om)
+        else:  # glvq without `lambda` gets its uniform profile in the constructor
+            met = None if lam is None else RelevanceProfile(lam)
+        return cls(kind, protos, met, d.get("label_names"))
 
 
 def save_model(model: LVQModel, path) -> None:
@@ -259,18 +257,16 @@ def init_model(data: LabeledDataset, config: TrainConfig,
     rng = rng if rng is not None else np.random.default_rng(config.seed)
     if data.n_classes < 2:
         raise ValueError("training data must contain at least two classes")
-    protos = init_prototypes(data, config.protos_per_class, 0.01, rng)
+    protos = init_prototypes(data, config.protos_per_class, rng)
     n = data.n_features
-    rel = None
-    omega = None
-    if config.model_kind == "grlvq":
-        rel = RelevanceProfile.uniform(n)
-    elif config.model_kind == "gmlvq":
+    if config.model_kind == "gmlvq":
         m = config.omega_rows if config.omega_rows else n
         om = np.eye(m, n) / np.sqrt(n)  # OmegaMatrix rejects m > n
         om += 1e-3 * rng.standard_normal((m, n))
-        omega = metric.normalize_omega(OmegaMatrix(om))
-    return LVQModel(config.model_kind, protos, rel, omega, data.label_names)
+        met = metric.normalize_omega(OmegaMatrix(om))
+    else:
+        met = RelevanceProfile.uniform(n)
+    return LVQModel(config.model_kind, protos, met, data.label_names)
 
 
 def _dists_to_protos(model: LVQModel, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -429,8 +425,8 @@ def train_epoch(
                 f"rates ({rate_p:g}, {rate_m:g}), d+ {d_plus:g}, d- {d_minus:g}",
             )
 
-    if model.omega is not None:
-        det = metric.det_metric(model.omega)
+    if isinstance(model.metric, OmegaMatrix):
+        det = metric.det_metric(model.metric)
         if det is not None and det < DET_WARN_THRESHOLD:
             logger.warning("metric determinant %.3e below %.1e at epoch %d",
                            det, DET_WARN_THRESHOLD, t)
@@ -448,9 +444,6 @@ def train_epoch(
     )
 
 
-EpochCallback = Callable[[LVQModel, EpochMetrics], None]
-
-
 def train(
     model: LVQModel,
     train_data: LabeledDataset,
@@ -461,18 +454,12 @@ def train(
     rng: np.random.Generator | None = None,
     epochs: int | None = None,
     t0: int = 0,
-    callback: EpochCallback | None = None,
 ) -> list[EpochMetrics]:
     """Run `epochs` (default config.epochs) at a fixed regularization weight."""
     rng = rng if rng is not None else np.random.default_rng(config.seed)
     n_epochs = config.epochs if epochs is None else epochs
-    out = []
-    for e in range(n_epochs):
-        m = train_epoch(model, train_data, config, reg_weight, rng, t0 + e, test_data)
-        out.append(m)
-        if callback:
-            callback(model, m)
-    return out
+    return [train_epoch(model, train_data, config, reg_weight, rng, t0 + e, test_data)
+            for e in range(n_epochs)]
 
 
 def run_path(
@@ -484,7 +471,6 @@ def run_path(
     test_data: LabeledDataset | None = None,
     rng: np.random.Generator | None = None,
     t0: int = 0,
-    callback: EpochCallback | None = None,
 ) -> tuple[list[EpochMetrics], list[LVQModel]]:
     """Ramp reg_weight over the schedule; one model snapshot per step.
 
@@ -498,7 +484,7 @@ def run_path(
     for w in schedule.weights():
         all_metrics.extend(
             train(model, train_data, config, float(w), test_data=test_data,
-                  rng=rng, epochs=schedule.epochs_per_step, t0=t, callback=callback)
+                  rng=rng, epochs=schedule.epochs_per_step, t0=t)
         )
         t += schedule.epochs_per_step
         snapshots.append(model.copy())

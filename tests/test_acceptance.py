@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sparselvq import trainer
 from sparselvq.cli import main as cli_main
 from sparselvq.dataset import SplitSpec, save_csv, split, synth_sparse
 from sparselvq.glvq import (
@@ -40,6 +41,7 @@ from sparselvq.trainer import (
     run_path,
     sparsity_of,
     train,
+    train_epoch,
 )
 
 from fdcheck import assert_grad_close, central_diff, central_diff_matrix
@@ -217,10 +219,10 @@ def test_sparse_recovery_experiment(grlvq_run):
     assert pre_acc >= 0.90, f"pretraining reached only {pre_acc:.3f}"
 
     model = grlvq_run["model"]
-    final_sparsity = sparsity_of(model.rel.lam, 1e-4)
+    final_sparsity = sparsity_of(model.metric.lam, 1e-4)
     assert final_sparsity >= 0.85, f"final sparsity {final_sparsity:.3f}"
 
-    mass_on_true = float(np.sum(model.rel.lam[:N_INFORMATIVE] ** 2))
+    mass_on_true = float(np.sum(model.metric.lam[:N_INFORMATIVE] ** 2))
     assert mass_on_true >= 0.80, f"only {mass_on_true:.3f} of the mass is on true dims"
 
     schedule = grlvq_run["schedule"]
@@ -242,7 +244,7 @@ def test_sparse_recovery_experiment(grlvq_run):
     )
 
 
-def test_gmlvq_path_smoke(acceptance_splits, grlvq_run):
+def test_gmlvq_path_smoke(acceptance_splits, grlvq_run, monkeypatch):
     """Projection-metric path run completes with the normalization
     invariant intact and accuracy near the profile-metric baseline.
 
@@ -258,13 +260,17 @@ def test_gmlvq_path_smoke(acceptance_splits, grlvq_run):
 
     deviations = []
 
-    def watch_norm(m, _metrics):
-        deviations.append(abs(float(np.sum(m.omega.omega**2)) - 1.0))
+    def watched_epoch(m, *args, **kwargs):
+        metrics = train_epoch(m, *args, **kwargs)
+        deviations.append(abs(float(np.sum(m.metric.omega**2)) - 1.0))
+        return metrics
 
-    train(model, tr, cfg, 0.0, test_data=te, rng=rng, callback=watch_norm)
+    monkeypatch.setattr(trainer, "train_epoch", watched_epoch)  # train looks it up per call
+    train(model, tr, cfg, 0.0, test_data=te, rng=rng)
     schedule = PathSchedule(0.0, 0.3, steps=10, epochs_per_step=4)
     path_metrics, snapshots = run_path(model, tr, cfg, schedule, test_data=te, rng=rng,
-                                       t0=cfg.epochs, callback=watch_norm)
+                                       t0=cfg.epochs)
+    assert len(deviations) == cfg.epochs + schedule.steps * schedule.epochs_per_step
     mass = [float(np.sum(s.profile()[:N_INFORMATIVE] ** 2)) for s in snapshots]
     _report("gmlvq path true-dimension mass per step: "
             + " ".join(f"{x:.4f}" for x in mass))

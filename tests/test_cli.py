@@ -76,6 +76,14 @@ class TestTrainCommand:
         assert code == 2
 
     @pytest.mark.parametrize("command", ["train", "path"])
+    def test_omega_wider_than_the_data_writes_no_run(self, tmp_path, tiny_csv, capsys, command):
+        out = tmp_path / "wide"
+        assert run_cli([command, "--data", tiny_csv, "--model", "gmlvq",
+                        "--omega-rows", 7, "--out", out]) == 1  # tiny_csv has 6 dims
+        assert "1 <= rows <= columns, got 7x6" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "path"])
     @pytest.mark.parametrize("extra,flag", [
         (["--model", "grlvq", "--omega-rows", 3], "--omega-rows"),
         (["--model", "glvq", "--omega-rows", 3], "--omega-rows"),

@@ -483,6 +483,8 @@ class TestSynthSparse:
         (6, 1, 2, 5, 0.5),  # 2 classes on 1 sign: about half of the seeds redraw
         (7, 2, 4, 3, 2.0),  # 4 classes on 2 signs: every pattern once
         (5, 2, 6, 2, 1.0),  # more classes than sign patterns: no redraw
+        (4, 3, 8, 2, 1.0),  # 8 classes on 3 signs: every pattern once, many redraws
+        (10, 4, 5, 3, 1.0),  # 5 of 16 patterns: duplicates past the first pair
     ])
     def test_matches_reference_formula(self, args):
         redraws = 0
@@ -492,13 +494,14 @@ class TestSynthSparse:
             out = synth_sparse(*args, seed)
             assert np.array_equal(out.features, ref.features)
             assert np.array_equal(out.labels, ref.labels)
-        if args[1:3] == (1, 2):
+        if args[1:3] in ((1, 2), (3, 8)):
             assert redraws > 0
 
 
 def reference_synth_sparse(n_dims, n_informative, classes, per_class, noise_sigma, seed):
     """synth_sparse as the plain formula means[labels] + sigma * noise, with its
-    RNG draws in the same order; also returns how many sign rows were redrawn."""
+    RNG draws in the same order and the duplicate sign rows found by a scan
+    over the earlier rows; also returns how many sign rows were redrawn."""
     rng = np.random.default_rng(seed)
     base = noise_sigma if noise_sigma > 0 else 1.0
     means = np.zeros((classes, n_dims))

@@ -315,12 +315,16 @@ class TestTransferFn:
 
 
 class TestInitPrototypes:
-    def test_means_without_jitter(self):
-        X = np.array([[0.0, 0.0], [2.0, 2.0], [4.0, 4.0], [6.0, 6.0]])
+    def test_means_plus_jitter(self):
+        X = np.array([[0.0, 0.0], [2.0, 2.0], [4.0, 4.0], [6.0, 8.0]])
         y = np.array([0, 0, 1, 1])
-        protos = init_prototypes(LabeledDataset(X, y), jitter=0.0)
-        assert np.allclose(protos.vectors, [[1.0, 1.0], [5.0, 5.0]])
-        assert np.array_equal(protos.labels, [0, 1])
+        protos = init_prototypes(LabeledDataset(X, y), 2, np.random.default_rng(3))
+        # one normal draw per prototype, in prototype order, scaled by 1 % of the std
+        rng = np.random.default_rng(3)
+        expected = [mean + 0.01 * X.std(axis=0) * rng.standard_normal(2)
+                    for mean in ([1.0, 1.0], [5.0, 6.0]) for _ in range(2)]
+        assert np.array_equal(protos.vectors, expected)
+        assert np.array_equal(protos.labels, [0, 0, 1, 1])
 
     def test_per_class_count(self):
         rng = np.random.default_rng(7)

@@ -52,14 +52,14 @@ def random_model(rng, kind, n=5, n_classes=3, protos_per_class=2, m=3):
         rng.normal(size=(n_classes * protos_per_class, n)),
         np.repeat(np.arange(n_classes), protos_per_class),
     )
-    rel = omega = None
+    met = None
     if kind == "grlvq":
         lam = rng.uniform(0.1, 1.0, size=n)
-        rel = RelevanceProfile(lam / np.linalg.norm(lam))
+        met = RelevanceProfile(lam / np.linalg.norm(lam))
     elif kind == "gmlvq":
         om = rng.normal(size=(m, n))
-        omega = OmegaMatrix(om / np.linalg.norm(om))
-    return LVQModel(kind, protos, rel, omega)
+        met = OmegaMatrix(om / np.linalg.norm(om))
+    return LVQModel(kind, protos, met)
 
 
 class TestSparsityOf:
@@ -230,10 +230,10 @@ class TestTrainEpoch:
         rng = np.random.default_rng(cfg.seed)
         model = init_model(data, cfg, rng)
         before_w = model.protos.vectors.copy()
-        before_l = model.rel.lam.copy()
+        before_l = model.metric.lam.copy()
         m = train_epoch(model, data, cfg, 0.5, rng)
         assert np.array_equal(model.protos.vectors, before_w)
-        assert np.array_equal(model.rel.lam, before_l)
+        assert np.array_equal(model.metric.lam, before_l)
         assert isinstance(m, EpochMetrics)
         for value in (m.train_accuracy, m.cost, m.reg_term, m.sparsity):
             assert np.isfinite(value)
@@ -296,8 +296,8 @@ class TestTrainEpoch:
         model = init_model(data, cfg)
         train(model, data, cfg, 0.0, epochs=2)  # a state away from the initial one
         W, labels = model.protos.vectors.copy(), model.protos.labels
-        lam = model.rel.lam.copy() if model.rel is not None else None
-        O = model.omega.omega.copy() if model.omega is not None else None
+        lam = model.metric.lam.copy() if kind != "gmlvq" else None
+        O = model.metric.omega.copy() if kind == "gmlvq" else None
         t, reg_weight, alpha = 3, 0.2, cfg.alpha
         decay = 1.0 / (1.0 + cfg.rate_decay * t)
         rate_p, rate_m = cfg.rate_proto * decay, cfg.rate_metric * decay
@@ -333,10 +333,10 @@ class TestTrainEpoch:
         train_epoch(model, data, cfg, reg_weight, np.random.default_rng(5), t)
         if kind == "gmlvq":
             np.testing.assert_allclose(model.protos.vectors, W, rtol=1e-12)
-            np.testing.assert_allclose(model.omega.omega, O, rtol=1e-12)
+            np.testing.assert_allclose(model.metric.omega, O, rtol=1e-12)
         else:
             assert np.array_equal(model.protos.vectors, W)
-            assert np.array_equal(model.rel.lam, lam)
+            assert np.array_equal(model.metric.lam, lam)
 
     def test_separable_blobs_reach_high_accuracy(self):
         data = synth_sparse(2, 2, 2, 50, noise_sigma=1.0, seed=13)
@@ -378,13 +378,13 @@ class TestTrainEpoch:
         model = LVQModel("grlvq", PrototypeSet(rng.normal(size=(len(proto_labels), 5)),
                                                np.array(proto_labels)),
                          RelevanceProfile.uniform(5))
-        before_w, before_l = model.protos.vectors.copy(), model.rel.lam.copy()
+        before_w, before_l = model.protos.vectors.copy(), model.metric.lam.copy()
         cfg = TrainConfig(model_kind="grlvq", rate_proto=0.1, rate_metric=0.1)
         for seed in range(5):  # whatever the order, the check comes first
             with pytest.raises(error):
                 train_epoch(model, data, cfg, 0.0, np.random.default_rng(seed))
             assert np.array_equal(model.protos.vectors, before_w)
-            assert np.array_equal(model.rel.lam, before_l)
+            assert np.array_equal(model.metric.lam, before_l)
 
     @pytest.mark.parametrize("width", [1, 4, 6])
     def test_data_of_the_wrong_width_raises_dimension_mismatch(self, width):
@@ -398,7 +398,7 @@ class TestTrainEpoch:
 
     def test_metric_of_the_wrong_width_raises_dimension_mismatch(self):
         model = random_model(np.random.default_rng(43), "grlvq")
-        model.rel = RelevanceProfile.uniform(4)
+        model.metric = RelevanceProfile.uniform(4)
         data = LabeledDataset(np.zeros((3, 5)), np.array([0, 1, 2]))
         with pytest.raises(DimensionMismatch):
             train_epoch(model, data, TrainConfig(), 0.0, np.random.default_rng(0))
@@ -410,14 +410,9 @@ class TestTrainEpoch:
             rng = np.random.default_rng(cfg.seed)
             model = init_model(data, cfg, rng)
             devs = []
-
-            def check(m, _metrics):
-                if kind == "grlvq":
-                    devs.append(abs(np.sum(m.rel.lam**2) - 1.0))
-                else:
-                    devs.append(abs(np.sum(m.omega.omega**2) - 1.0))
-
-            train(model, data, cfg, 0.3, rng=rng, callback=check)
+            for t in range(cfg.epochs):  # what train runs, checked after each epoch
+                train_epoch(model, data, cfg, 0.3, rng, t)
+                devs.append(abs(np.sum(model.metric.params**2) - 1.0))
             assert max(devs) <= 1e-10
 
     def test_lambda_stays_nonnegative(self):
@@ -426,7 +421,7 @@ class TestTrainEpoch:
         rng = np.random.default_rng(cfg.seed)
         model = init_model(data, cfg, rng)
         train(model, data, cfg, 1.0, rng=rng)
-        assert np.all(model.rel.lam >= 0.0)
+        assert np.all(model.metric.lam >= 0.0)
 
     def test_near_singular_square_metric_warns(self, caplog):
         data = small_data(seed=27, n_dims=2, n_informative=2)
@@ -435,7 +430,7 @@ class TestTrainEpoch:
         rng = np.random.default_rng(cfg.seed)
         model = init_model(data, cfg, rng)
         bad = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-9]])
-        model.omega = OmegaMatrix(bad / np.linalg.norm(bad))
+        model.metric = OmegaMatrix(bad / np.linalg.norm(bad))
         with caplog.at_level("WARNING", logger="sparselvq.trainer"):
             train_epoch(model, data, cfg, 0.0, rng)
         assert any("determinant" in r.message for r in caplog.records)
@@ -496,7 +491,7 @@ class TestRunPath:
         metrics_b.extend(pm)
 
         assert np.array_equal(model_a.protos.vectors, model_b.protos.vectors)
-        assert np.array_equal(model_a.rel.lam, model_b.rel.lam)
+        assert np.array_equal(model_a.metric.lam, model_b.metric.lam)
         assert [m.to_json() for m in metrics_a] == [m.to_json() for m in metrics_b]
         assert len(snaps) == 1
 
@@ -521,7 +516,7 @@ class TestRunPath:
         schedule = PathSchedule(0.0, 2.0, steps=11, epochs_per_step=3)
         _, snaps = run_path(model, tr, cfg, schedule, test_data=te, rng=rng,
                             t0=cfg.epochs)
-        norms = [np.abs(s.rel.lam).sum() for s in snaps]
+        norms = [np.abs(s.metric.lam).sum() for s in snaps]
         pairs = list(zip(norms, norms[1:]))
         ok = sum(b <= a + 1e-12 for a, b in pairs)
         assert ok >= 0.9 * len(pairs), f"l1 path not shrinking: {norms}"
@@ -533,8 +528,8 @@ class TestRunPath:
         model = init_model(data, cfg, rng)
         schedule = PathSchedule(10.0, 12.0, steps=3, epochs_per_step=3)
         run_path(model, data, cfg, schedule, rng=rng)
-        assert np.isclose(np.sum(model.rel.lam**2), 1.0, atol=1e-10)
-        assert np.all(np.isfinite(model.rel.lam))
+        assert np.isclose(np.sum(model.metric.lam**2), 1.0, atol=1e-10)
+        assert np.all(np.isfinite(model.metric.lam))
 
 
 class TestConfigAndSchedule:
@@ -584,13 +579,40 @@ class TestModelSerialization:
         assert np.array_equal(loaded.protos.vectors, model.protos.vectors)
         if kind == "glvq":  # trained with rate_metric > 0, still uniform, not written out
             assert cfg.rate_metric > 0
-            assert np.array_equal(model.rel.lam, RelevanceProfile.uniform(8).lam)
+            assert np.array_equal(model.metric.lam, RelevanceProfile.uniform(8).lam)
             assert json.loads(path.read_text())["lambda"] is None
         if kind != "gmlvq":
-            assert np.array_equal(loaded.rel.lam, model.rel.lam)
+            assert np.array_equal(loaded.metric.lam, model.metric.lam)
         if kind == "gmlvq":
-            assert np.array_equal(loaded.omega.omega, model.omega.omega)
+            assert np.array_equal(loaded.metric.omega, model.metric.omega)
         assert evaluate(loaded, data) == evaluate(model, data)
+
+
+class TestModelCopy:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_copy_shares_no_array(self, kind):
+        model = random_model(np.random.default_rng(89), kind)
+        model.label_names = ["a", "b", "c"]
+        dup = model.copy()
+        before = json.dumps(model.to_json_dict())
+        assert json.dumps(dup.to_json_dict()) == before
+        assert type(dup.metric) is type(model.metric)
+        for a, b in ((dup.protos.vectors, model.protos.vectors),
+                     (dup.protos.labels, model.protos.labels),
+                     (dup.metric.params, model.metric.params)):
+            assert not np.shares_memory(a, b)
+        assert dup.label_names is not model.label_names
+
+        model.protos.vectors += 1.0
+        model.protos.labels[0] = 2
+        model.metric.params[...] = 0.5
+        model.metric = model.metric.stepped(model.metric.params)
+        model.label_names.append("d")
+        assert json.dumps(dup.to_json_dict()) == before
+
+    def test_glvq_copy_keeps_the_uniform_profile(self):
+        model = random_model(np.random.default_rng(97), "glvq")
+        assert np.array_equal(model.copy().metric.lam, RelevanceProfile.uniform(5).lam)
 
 
 class TestModelValidation:
@@ -655,28 +677,22 @@ class TestModelValidation:
     @pytest.mark.parametrize("kind", KINDS)
     def test_metric_width_differs_from_the_prototypes(self, kind):
         protos = PrototypeSet(np.zeros((2, 5)), [0, 1])
-        if kind == "gmlvq":
-            metrics = {"omega": OmegaMatrix(np.eye(4))}
-        else:
-            metrics = {"rel": RelevanceProfile.uniform(4)}
+        met = OmegaMatrix(np.eye(4)) if kind == "gmlvq" else RelevanceProfile.uniform(4)
         with pytest.raises(DimensionMismatch, match="4 dims"):
-            LVQModel(kind, protos, **metrics)
+            LVQModel(kind, protos, met)
 
     def test_grlvq_without_a_profile(self):
-        with pytest.raises(ValueError, match="must carry `rel`"):
-            LVQModel("grlvq", PrototypeSet(np.zeros((2, 5)), [0, 1]))
+        protos = PrototypeSet(np.zeros((2, 5)), [0, 1])
+        for kind, met in (("grlvq", None), ("grlvq", OmegaMatrix(np.eye(5))),
+                          ("glvq", OmegaMatrix(np.eye(5)))):
+            with pytest.raises(ValueError, match=f"{kind} model must be a RelevanceProfile"):
+                LVQModel(kind, protos, met)
 
     def test_gmlvq_without_a_projection(self):
         protos = PrototypeSet(np.zeros((2, 5)), [0, 1])
-        for rel in (None, RelevanceProfile.uniform(5)):
-            with pytest.raises(ValueError, match="must carry `omega`"):
-                LVQModel("gmlvq", protos, rel)
-
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_both_metrics(self, kind):
-        with pytest.raises(ValueError, match="no other metric"):
-            LVQModel(kind, PrototypeSet(np.zeros((2, 5)), [0, 1]),
-                     RelevanceProfile.uniform(5), OmegaMatrix(np.eye(5)))
+        for met in (None, RelevanceProfile.uniform(5)):
+            with pytest.raises(ValueError, match="must be a OmegaMatrix"):
+                LVQModel("gmlvq", protos, met)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_valid_model_json_loads(self, kind):
