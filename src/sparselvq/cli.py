@@ -165,7 +165,7 @@ def _manifest_from_args(args, command: str) -> dict:
         "l2_normalize": bool(args.l2_normalize),
         "split": asdict(SplitSpec(train_fraction=args.train_fraction,
                                   stratified=not args.no_stratify, seed=args.seed)),
-        "config": config.to_json_dict(),
+        "config": asdict(config),
         "schedule": asdict(schedule) if schedule else None,
         "out": str(args.out),
     }
@@ -198,8 +198,11 @@ def _execute_run(manifest: dict) -> int:
     try:
         data_path, label_column = manifest["data"], manifest["label_column"]
         normalize, outdir = manifest["l2_normalize"], Path(manifest["out"])
+        if type(normalize) is not bool:
+            raise TypeError(f"l2_normalize must be true or false, got {normalize!r}")
         split_spec = SplitSpec(**manifest["split"])
-        config = TrainConfig.from_json_dict(manifest["config"])
+        c = dict(manifest["config"])
+        config = TrainConfig(transfer=TransferFn(**c.pop("transfer", {})), **c)
         schedule = PathSchedule(**manifest["schedule"]) if manifest["schedule"] else None
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed manifest: {type(exc).__name__}: {exc}") from exc
@@ -233,7 +236,7 @@ def _execute_run(manifest: dict) -> int:
                         k, m.reg_weight, m.test_accuracy, m.sparsity)
         (outdir / "path.csv").write_text("\n".join(rows) + "\n")
 
-    (outdir / "metrics.jsonl").write_text("".join(m.to_json() + "\n" for m in metrics))
+    (outdir / "metrics.jsonl").write_text("".join(json.dumps(asdict(m)) + "\n" for m in metrics))
     save_model(model, outdir / "model.json")
     _write_profile_csv(outdir / "profile.csv", model, train_data.dim_names)
 

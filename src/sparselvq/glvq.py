@@ -60,13 +60,6 @@ class PrototypeSet:
     def copy(self) -> "PrototypeSet":
         return PrototypeSet(self.vectors.copy(), self.labels.copy())
 
-    def to_json_dict(self) -> dict:
-        return {"labels": self.labels.tolist(), "vectors": self.vectors.tolist()}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "PrototypeSet":
-        return cls(np.array(d["vectors"], dtype=float), np.array(d["labels"], dtype=int))
-
 
 @dataclass(frozen=True)
 class TransferFn:
@@ -78,8 +71,8 @@ class TransferFn:
     def __post_init__(self):
         if self.kind not in ("identity", "sigmoid"):
             raise ValueError(f"unknown transfer kind {self.kind!r}")
-        if self.kind == "sigmoid" and not self.slope > 0:
-            raise ValueError("sigmoid slope must be positive")
+        if self.kind == "sigmoid" and not 0 < self.slope < np.inf:
+            raise ValueError(f"sigmoid slope must be positive and finite, got {self.slope!r}")
 
     def value(self, x):
         if self.kind == "identity":

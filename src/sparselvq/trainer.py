@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +56,17 @@ class NonFiniteUpdate(RuntimeError):
         self.step = step
 
 
+def _check_numbers(settings) -> None:
+    """TypeError unless each `int` field of the dataclass `settings` holds an integer
+    (not a bool); ValueError unless each `int` and `float` field is finite and >= 0."""
+    for f in fields(settings):
+        v = getattr(settings, f.name)
+        if f.type == "int" and (type(v) is bool or not isinstance(v, (int, np.integer))):
+            raise TypeError(f"{f.name} must be an integer, got {v!r}")
+        if f.type in ("int", "float") and not 0 <= v < np.inf:
+            raise ValueError(f"{f.name} must be finite and >= 0, got {v!r}")
+
+
 @dataclass
 class TrainConfig:
     model_kind: str = "grlvq"
@@ -70,34 +82,15 @@ class TrainConfig:
     sparsity_threshold: float = 1e-4
 
     def __post_init__(self):
+        _check_numbers(self)
         if self.model_kind not in MODEL_KINDS:
             raise ValueError(f"model_kind must be one of {MODEL_KINDS}, got {self.model_kind!r}")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.rate_proto < 0 or self.rate_metric < 0:
-            raise ValueError("learning rates must be >= 0")
-        if self.rate_decay < 0:
-            raise ValueError("rate_decay must be >= 0")
+        if self.epochs < 1 or self.protos_per_class < 1:
+            raise ValueError("epochs and protos_per_class must be >= 1")
         if not self.alpha > 0:
             raise ValueError("alpha must be positive")
-        if self.protos_per_class < 1:
-            raise ValueError("protos_per_class must be >= 1")
-        if self.omega_rows < 0:
-            raise ValueError("omega_rows must be >= 0 (0 = square)")
         if not self.sparsity_threshold > 0:
             raise ValueError("sparsity_threshold must be positive")
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "TrainConfig":
-        d = dict(d)
-        transfer = d.pop("transfer", None)
-        cfg = cls(**d)
-        if transfer is not None:
-            cfg.transfer = TransferFn(**transfer)
-        return cfg
 
 
 @dataclass(frozen=True)
@@ -110,8 +103,7 @@ class PathSchedule:
     epochs_per_step: int = 10
 
     def __post_init__(self):
-        if self.reg_weight_start < 0:
-            raise ValueError("reg_weight_start must be >= 0")
+        _check_numbers(self)
         if self.reg_weight_end < self.reg_weight_start:
             raise ValueError("reg_weight_end must be >= reg_weight_start")
         if self.steps < 1 or self.epochs_per_step < 1:
@@ -132,9 +124,6 @@ class EpochMetrics:
     sparsity: float
     reg_weight: float
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
-
 
 @dataclass
 class LVQModel:
@@ -154,10 +143,14 @@ class LVQModel:
     label_names: list[str] | None = None
 
     def __post_init__(self):
-        if self.kind not in MODEL_KINDS:
-            raise ValueError(f"model kind must be one of {MODEL_KINDS}, got {self.kind!r}")
         if self.kind == "glvq" and self.metric is None:
             self.metric = RelevanceProfile.uniform(self.n_features)
+        self.check()
+
+    def check(self) -> None:
+        """The class docstring's checks; rerun by `train_epoch`, as `metric` may be reassigned."""
+        if self.kind not in MODEL_KINDS:
+            raise ValueError(f"model kind must be one of {MODEL_KINDS}, got {self.kind!r}")
         want = OmegaMatrix if self.kind == "gmlvq" else RelevanceProfile
         if not isinstance(self.metric, want):
             raise ValueError(f"the metric of a {self.kind} model must be a "
@@ -205,7 +198,8 @@ class LVQModel:
         return {
             "kind": self.kind,
             "n_features": self.n_features,
-            "protos": self.protos.to_json_dict(),
+            "protos": {"labels": self.protos.labels.tolist(),
+                       "vectors": self.protos.vectors.tolist()},
             "lambda": self.metric.lam.tolist() if self.kind == "grlvq" else None,
             "omega": self.metric.omega.tolist() if self.kind == "gmlvq" else None,
             "label_names": self.label_names,
@@ -215,31 +209,39 @@ class LVQModel:
     def from_json_dict(cls, d: dict) -> "LVQModel":
         """Inverse of `to_json_dict`. The constructors check the model; this
         checks the file: ValueError when an entry is missing or of the wrong
-        type, `n_features` is not the prototypes' width, `lambda` is present
-        other than for grlvq or `omega` other than for gmlvq, or one of them
-        holds a non-finite value.
+        type (labels JSON integers; vectors, `lambda` and `omega` finite JSON
+        numbers; no bools), `n_features` is not the prototypes' width, or
+        `lambda` is present other than for grlvq or `omega` other than for gmlvq.
         """
         try:
-            kind, n = d["kind"], d["n_features"]
-            protos = PrototypeSet.from_json_dict(d["protos"])
-            lam = None if d.get("lambda") is None else np.array(d["lambda"], dtype=float)
-            om = None if d.get("omega") is None else np.array(d["omega"], dtype=float)
-        except (KeyError, TypeError) as exc:
+            kind, n, p = d["kind"], d["n_features"], d["protos"]
+            protos = PrototypeSet(_entries(p["vectors"], "vectors"),
+                                  _entries(p["labels"], "labels", int))
+            met = None  # a glvq model gets its uniform profile in the constructor
+            for key, owner, wrap in (("lambda", "grlvq", RelevanceProfile),
+                                     ("omega", "gmlvq", OmegaMatrix)):
+                if (d.get(key) is not None) != (kind == owner):
+                    raise ValueError(f"a model of kind {kind!r} must "
+                                     f"{'' if kind == owner else 'not '}carry `{key}`")
+                if kind == owner:
+                    met = wrap(_entries(d[key], key))
+        except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"malformed model: {type(exc).__name__}: {exc}") from exc
         if type(n) is not int or n != protos.n_features:
             raise ValueError(f"n_features is {n!r}, the prototype vectors have "
                              f"{protos.n_features} columns")
-        for key, value, owner in (("lambda", lam, "grlvq"), ("omega", om, "gmlvq")):
-            if (value is not None) != (kind == owner):
-                raise ValueError(f"a model of kind {kind!r} must "
-                                 f"{'' if kind == owner else 'not '}carry `{key}`")
-            if value is not None and not np.all(np.isfinite(value)):
-                raise ValueError(f"`{key}` contains non-finite entries")
-        if kind == "gmlvq":
-            met = OmegaMatrix(om)
-        else:  # glvq without `lambda` gets its uniform profile in the constructor
-            met = None if lam is None else RelevanceProfile(lam)
         return cls(kind, protos, met, d.get("label_names"))
+
+
+def _entries(value, key: str, dtype=float) -> np.ndarray:
+    """A model-file list of numbers, or of lists of them, as an array;
+    ValueError unless each is a finite JSON number (an integer for int)."""
+    leaves = chain.from_iterable(v if type(v) is list else (v,) for v in value)
+    if set(map(type, leaves)) <= {int, dtype}:  # bool is its own type
+        a = np.array(value, dtype=dtype)
+        if np.isfinite(a).all():
+            return a
+    raise ValueError(f"`{key}` must hold finite JSON {'integers' if dtype is int else 'numbers'}")
 
 
 def save_model(model: LVQModel, path) -> None:
@@ -377,15 +379,15 @@ def train_epoch(
     `t` is the global epoch index driving the 1/(1 + t*decay) rate decay.
     Without a held-out set the test_accuracy field mirrors the training
     accuracy. Samples whose two winner distances are both zero are
-    skipped (no usable gradient). The data width and the class table are
-    checked before any step; each step checks W and the new metric
-    parameters for finiteness once.
+    skipped (no usable gradient). The model, the data width and the class
+    table are checked before any step; each step checks W and the new
+    metric parameters for finiteness once.
     """
     X, y = train_data.features, train_data.labels
     W = model.protos.vectors
-    if X.shape[1] != model.n_features or model.metric.n_dims != model.n_features:
-        raise DimensionMismatch(f"model has {model.n_features} features and a "
-                                f"{model.metric.n_dims}-dim metric, data has {X.shape[1]}")
+    model.check()
+    if X.shape[1] != model.n_features:
+        raise DimensionMismatch(f"model has {model.n_features} features, data has {X.shape[1]}")
     table = class_index_table(model.protos.labels, y)
     decay = 1.0 / (1.0 + config.rate_decay * t)
     rate_p = config.rate_proto * decay

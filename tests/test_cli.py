@@ -3,10 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from sparselvq import trainer
+from sparselvq import cli, trainer
 from sparselvq.cli import _manifest_from_args, build_parser, main
 from sparselvq.dataset import SplitSpec, load_csv, save_csv, split, synth_sparse
-from sparselvq.glvq import PrototypeSet
+from sparselvq.glvq import PrototypeSet, TransferFn
 from sparselvq.trainer import LVQModel, save_model
 
 
@@ -158,6 +158,52 @@ class TestPathCommand:
         assert (out_t / "model.json").read_bytes() == (out_p / "model.json").read_bytes()
         assert (out_t / "metrics.jsonl").read_bytes() == (out_p / "metrics.jsonl").read_bytes()
 
+    @pytest.mark.parametrize("setting,message", [
+        (["--alpha", "inf"], "alpha must be finite"),
+        (["--rate-proto", "nan"], "rate_proto must be finite"),
+        (["--rate-decay", "inf"], "rate_decay must be finite"),
+        (["--rate-metric", "inf"], "rate_metric must be finite"),
+        (["--sparsity-threshold", "inf"], "sparsity_threshold must be finite"),
+        (["--reg-end", "inf"], "reg_weight_end must be finite"),
+        (["--transfer", "sigmoid", "--sigmoid-slope", "inf"],
+         "sigmoid slope must be positive and finite"),
+    ], ids=["alpha-inf", "rate-proto-nan", "rate-decay-inf", "rate-metric-inf",
+            "sparsity-threshold-inf", "reg-end-inf", "sigmoid-slope-inf"])
+    def test_setting_it_cannot_run_writes_no_run(self, tmp_path, tiny_csv, capsys,
+                                                 setting, message):
+        out = tmp_path / "r"
+        assert run_cli(["path", "--data", tiny_csv, *setting, "--epochs", 2,
+                        "--reg-steps", 2, "--epochs-per-step", 1, "--out", out]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra,edit", [
+        pytest.param(["--model", "gmlvq", "--omega-rows", 3, "--transfer", "sigmoid",
+                      "--sigmoid-slope", 2.5], None, id="gmlvq-sigmoid"),
+        pytest.param([], lambda m: m["config"].pop("transfer"), id="config-without-transfer"),
+    ])
+    def test_replay_reproduces_every_file(self, tmp_path, tiny_csv, monkeypatch, extra, edit):
+        configs = []
+
+        def spy(data, config, rng):
+            configs.append(config)
+            return trainer.init_model(data, config, rng)
+
+        monkeypatch.setattr(cli, "init_model", spy)
+        out1, out2 = tmp_path / "run", tmp_path / "replay"
+        assert run_cli(["path", "--data", tiny_csv, *extra, "--epochs", 2, "--epochs-per-step", 1,
+                        "--reg-steps", 2, "--seed", 8, "--out", out1]) == 0
+        manifest = json.loads((out1 / "manifest.json").read_text())
+        if edit:
+            edit(manifest)
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        assert run_cli(["path", "--manifest", tmp_path / "manifest.json", "--out", out2]) == 0
+        for name in ("metrics.jsonl", "path.csv", "model.json"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+        assert configs[0] == configs[1]
+        if edit:  # a manifest without `transfer` replays as identity
+            assert configs[1].transfer == TransferFn()
+
     def test_replay_from_manifest(self, tmp_path, tiny_csv):
         out1 = tmp_path / "p3"
         assert run_cli(["path", "--data", tiny_csv, "--epochs", 2,
@@ -174,6 +220,8 @@ class TestPathCommand:
         pytest.param(lambda m: m["config"].update(learning_rate=0.1), id="unknown-setting"),
         pytest.param(lambda m: m.update(split=None), id="null-split"),
         pytest.param(lambda m: m["schedule"].update(steps="2"), id="string-steps"),
+        pytest.param(lambda m: m["config"].update(epochs=2.5), id="fractional-epochs"),
+        pytest.param(lambda m: m.update(l2_normalize="no"), id="string-l2-normalize"),
     ])
     def test_malformed_manifest_is_runtime_error(self, tmp_path, tiny_csv, capsys, edit):
         out1 = tmp_path / "p7"
@@ -186,6 +234,7 @@ class TestPathCommand:
         capsys.readouterr()
         assert run_cli(["path", "--manifest", bad, "--out", tmp_path / "p8"]) == 1
         assert "malformed manifest" in capsys.readouterr().err
+        assert not (tmp_path / "p8").exists()
 
     def test_manifest_that_is_not_an_object_is_runtime_error(self, tmp_path, capsys):
         bad = tmp_path / "list.json"
@@ -277,6 +326,10 @@ class TestEvalCommand:
         pytest.param(lambda d: d.update({"lambda": None}), "lambda", id="grlvq-without-lambda"),
         pytest.param(lambda d: d.pop("protos"), "malformed model", id="missing-protos"),
         pytest.param(lambda d: d.update(kind="lvq3"), "kind", id="unknown-kind"),
+        pytest.param(lambda d: d["protos"].update(labels=[0.7, 1.2]), "`labels` must hold",
+                     id="float-labels"),
+        pytest.param(lambda d: d.update({"lambda": [str(x) for x in d["lambda"]]}),
+                     "`lambda` must hold", id="string-lambda"),
     ])
     def test_bad_model_file_is_runtime_error(self, tmp_path, tiny_csv, capsys, edit, message):
         out = tmp_path / "run"

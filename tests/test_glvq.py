@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -304,14 +302,6 @@ class TestTransferFn:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             TransferFn("softmax")
-
-    def test_json_round_trip_of_prototypes(self, tmp_path):
-        protos = PrototypeSet(np.array([[0.1, 0.2], [0.3, 0.4]]), np.array([0, 1]))
-        path = tmp_path / "protos.json"
-        path.write_text(json.dumps(protos.to_json_dict()))
-        loaded = PrototypeSet.from_json_dict(json.loads(path.read_text()))
-        assert np.array_equal(loaded.vectors, protos.vectors)
-        assert np.array_equal(loaded.labels, protos.labels)
 
 
 class TestInitPrototypes:

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -403,6 +404,18 @@ class TestTrainEpoch:
         with pytest.raises(DimensionMismatch):
             train_epoch(model, data, TrainConfig(), 0.0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_metric_of_the_wrong_class_raises_before_any_step(self, kind):
+        rng = np.random.default_rng(45)
+        model = random_model(rng, kind)
+        model.metric = (RelevanceProfile.uniform(5) if kind == "gmlvq"
+                        else OmegaMatrix(np.eye(5) / np.sqrt(5)))
+        data = LabeledDataset(rng.normal(size=(6, 5)), np.array([0, 1, 2] * 2))
+        before = model.protos.vectors.copy()
+        with pytest.raises(ValueError, match=f"{kind} model must be a"):
+            train_epoch(model, data, TrainConfig(model_kind=kind), 0.0, np.random.default_rng(0))
+        assert np.array_equal(model.protos.vectors, before)
+
     def test_normalization_invariant_every_epoch(self):
         data = small_data(seed=19, n_dims=10, n_informative=4)
         for kind, rows in (("grlvq", 0), ("gmlvq", 4)):
@@ -469,7 +482,7 @@ class TestDeterminism:
         def run():
             rng = np.random.default_rng(cfg.seed)
             model = init_model(data, cfg, rng)
-            return [m.to_json() for m in train(model, data, cfg, 0.2, rng=rng)]
+            return [json.dumps(asdict(m)) for m in train(model, data, cfg, 0.2, rng=rng)]
 
         assert run() == run()
 
@@ -492,7 +505,8 @@ class TestRunPath:
 
         assert np.array_equal(model_a.protos.vectors, model_b.protos.vectors)
         assert np.array_equal(model_a.metric.lam, model_b.metric.lam)
-        assert [m.to_json() for m in metrics_a] == [m.to_json() for m in metrics_b]
+        assert ([json.dumps(asdict(m)) for m in metrics_a]
+                == [json.dumps(asdict(m)) for m in metrics_b])
         assert len(snaps) == 1
 
     def test_snapshots_are_independent_copies(self):
@@ -546,6 +560,10 @@ class TestConfigAndSchedule:
             PathSchedule(1.0, 0.5, steps=2, epochs_per_step=1)
         with pytest.raises(ValueError):
             PathSchedule(0.0, 1.0, steps=0, epochs_per_step=1)
+        with pytest.raises(ValueError, match="reg_weight_start must be finite"):
+            PathSchedule(float("nan"), 1.0)
+        with pytest.raises(TypeError, match="steps must be an integer"):
+            PathSchedule(0.0, 1.0, steps=2.0)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -556,12 +574,12 @@ class TestConfigAndSchedule:
             TrainConfig(rate_proto=-1.0)
         with pytest.raises(ValueError):
             TrainConfig(alpha=0.0)
-
-    def test_config_json_round_trip(self):
-        cfg = TrainConfig(model_kind="gmlvq", omega_rows=4,
-                          transfer=TransferFn("sigmoid", 2.0), epochs=7)
-        again = TrainConfig.from_json_dict(json.loads(json.dumps(cfg.to_json_dict())))
-        assert again == cfg
+        with pytest.raises(ValueError, match="rate_decay must be finite"):
+            TrainConfig(rate_decay=float("inf"))
+        for count in ("epochs", "seed", "omega_rows", "protos_per_class"):
+            with pytest.raises(TypeError, match=f"{count} must be an integer"):
+                TrainConfig(**{count: True})
+        assert TrainConfig(epochs=np.int64(3), seed=np.int64(1)).epochs == 3
 
 
 class TestModelSerialization:
@@ -640,6 +658,16 @@ class TestModelValidation:
         "non-finite-omega": ("gmlvq", lambda d: d["omega"][0].__setitem__(0, float("nan"))),
         "missing-protos": ("glvq", lambda d: d.pop("protos")),
         "protos-not-an-object": ("glvq", lambda d: d.update(protos=[1, 2])),
+        # entry types: labels must be JSON integers, the rest JSON numbers; none is converted
+        "float-labels": ("glvq", lambda d: d["protos"].update(labels=[0.7, 1.2])),
+        "bool-labels": ("glvq", lambda d: d["protos"].update(labels=[False, True])),
+        "label-beyond-int64": ("glvq", lambda d: d["protos"]["labels"].__setitem__(1, 2**64)),
+        "string-vector": ("glvq", lambda d: d["protos"]["vectors"][0].__setitem__(0, "0.5")),
+        "bool-vector": ("glvq", lambda d: d["protos"]["vectors"][1].__setitem__(2, True)),
+        "string-lambda": ("grlvq", lambda d: d.update({"lambda": [str(x) for x in d["lambda"]]})),
+        "bool-lambda": ("grlvq", lambda d: d["lambda"].__setitem__(0, True)),
+        "string-omega": ("gmlvq", lambda d: d["omega"][0].__setitem__(1, "0.1")),
+        "bool-omega": ("gmlvq", lambda d: d["omega"][2].__setitem__(0, False)),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
