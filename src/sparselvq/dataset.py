@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -117,6 +117,23 @@ class LabeledDataset:
         return LabeledDataset(self.features[idx], self.labels[idx], self.dim_names, self.label_names)
 
 
+def _check_numbers(settings) -> None:
+    """TypeError unless each `bool` field of the dataclass `settings` holds a bool,
+    each `int` field an integer and each `float` field a number (bools are neither);
+    ValueError unless each `int` and `float` field is finite and >= 0."""
+    for f in fields(settings):
+        v = getattr(settings, f.name)
+        if f.type == "bool" and type(v) is not bool:
+            raise TypeError(f"{f.name} must be true or false, got {v!r}")
+        integer = type(v) is not bool and isinstance(v, (int, np.integer))
+        if f.type == "int" and not integer:
+            raise TypeError(f"{f.name} must be an integer, got {v!r}")
+        if f.type == "float" and not (integer or isinstance(v, (float, np.floating))):
+            raise TypeError(f"{f.name} must be a number, got {v!r}")
+        if f.type in ("int", "float") and not 0 <= v < np.inf:
+            raise ValueError(f"{f.name} must be finite and >= 0, got {v!r}")
+
+
 @dataclass(frozen=True)
 class SplitSpec:
     train_fraction: float
@@ -124,6 +141,7 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _check_numbers(self)
         if not 0.0 < self.train_fraction < 1.0:
             raise DatasetError(
                 f"train_fraction must be in (0, 1), got {self.train_fraction}"

@@ -9,6 +9,9 @@ replaces the exact max over column sums by a left-to-right fold of a
 smooth two-argument max. That max is (1/a) * log(exp(a*x) + exp(a*y)), so
 it is associative and the fold equals (1/a) * logsumexp(a * sums); the
 column-by-column loop stays only until it is replaced by that closed form.
+Its merges each take one pair of floats, so abs_smooth evaluates a Python
+float with the math module: numpy's per-call dispatch on one scalar costs
+more than the arithmetic.
 
 For a|x| well below 2 the surrogate is close to the quadratic
 2*log(2)/a + a*x**2/4, so on small parameters it acts like a ridge term:
@@ -50,8 +53,15 @@ def abs_smooth(x, alpha: float = DEFAULT_ALPHA):
     algebraically identical to ``(1/alpha) * log(2 + exp(-alpha*x) +
     exp(alpha*x))`` but never overflows. The result lies in
     ``[|x|, |x| + 2*log(2)/alpha]`` and is an even function of x.
+
+    A Python float (the fold's one merge per column) takes the math
+    module and returns a float: numpy's dispatch on one scalar costs more
+    than the arithmetic. Arrays and numpy scalars keep numpy's types.
     """
     alpha = _check_alpha(alpha)
+    if type(x) is float:
+        ax = abs(x)
+        return ax + (2.0 / alpha) * math.log1p(math.exp(-alpha * ax))
     ax = np.abs(x)
     return ax + (2.0 / alpha) * np.log1p(np.exp(-alpha * ax))
 
@@ -75,7 +85,8 @@ def matrix_l1_exact(mat) -> float:
 
 def _fold(omega, alpha: float):
     """Checked alpha and matrix, smoothed column sums, and the fold value
-    after each column, kept in Python floats (numpy scalars cost more)."""
+    after each column, kept in Python floats: each merge is one abs_smooth
+    call on one float, where numpy's dispatch would cost more than the maths."""
     alpha = _check_alpha(alpha)
     om = np.asarray(omega, dtype=float)
     if om.ndim != 2:
@@ -84,7 +95,7 @@ def _fold(omega, alpha: float):
     prefix = [float(sums[0])]
     for s in sums[1:].tolist():
         acc = prefix[-1]
-        prefix.append(0.5 * (acc + s + float(abs_smooth(acc - s, alpha))))
+        prefix.append(0.5 * (acc + s + abs_smooth(acc - s, alpha)))
     return alpha, om, sums, prefix
 
 

@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from . import l1smooth, metric
-from .dataset import LabeledDataset
+from .dataset import LabeledDataset, _check_numbers
 from .glvq import (
     PrototypeSet,
     TransferFn,
@@ -54,17 +54,6 @@ class NonFiniteUpdate(RuntimeError):
     def __init__(self, step: int, detail: str):
         super().__init__(f"non-finite update at sample step {step}: {detail}")
         self.step = step
-
-
-def _check_numbers(settings) -> None:
-    """TypeError unless each `int` field of the dataclass `settings` holds an integer
-    (not a bool); ValueError unless each `int` and `float` field is finite and >= 0."""
-    for f in fields(settings):
-        v = getattr(settings, f.name)
-        if f.type == "int" and (type(v) is bool or not isinstance(v, (int, np.integer))):
-            raise TypeError(f"{f.name} must be an integer, got {v!r}")
-        if f.type in ("int", "float") and not 0 <= v < np.inf:
-            raise ValueError(f"{f.name} must be finite and >= 0, got {v!r}")
 
 
 @dataclass

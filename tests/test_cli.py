@@ -222,6 +222,10 @@ class TestPathCommand:
         pytest.param(lambda m: m["schedule"].update(steps="2"), id="string-steps"),
         pytest.param(lambda m: m["config"].update(epochs=2.5), id="fractional-epochs"),
         pytest.param(lambda m: m.update(l2_normalize="no"), id="string-l2-normalize"),
+        pytest.param(lambda m: m["split"].update(seed=2.5), id="fractional-split-seed"),
+        pytest.param(lambda m: m["split"].update(seed=True), id="bool-split-seed"),
+        pytest.param(lambda m: m["split"].update(stratified="no"), id="string-stratified"),
+        pytest.param(lambda m: m["split"].update(train_fraction=True), id="bool-train-fraction"),
     ])
     def test_malformed_manifest_is_runtime_error(self, tmp_path, tiny_csv, capsys, edit):
         out1 = tmp_path / "p7"

@@ -376,6 +376,22 @@ class TestSplit:
         with pytest.raises(DatasetError):
             SplitSpec(1.0)
 
+    @pytest.mark.parametrize("fields,error,match", [
+        ({"train_fraction": "0.5"}, TypeError, "train_fraction must be a number"),
+        ({"train_fraction": True}, TypeError, "train_fraction must be a number"),
+        ({"stratified": "no"}, TypeError, "stratified must be true or false"),
+        ({"stratified": 1}, TypeError, "stratified must be true or false"),
+        ({"seed": 2.5}, TypeError, "seed must be an integer"),
+        ({"seed": True}, TypeError, "seed must be an integer"),
+        ({"seed": -1}, ValueError, "seed must be finite and >= 0"),
+    ])
+    def test_bad_field_types(self, fields, error, match):
+        with pytest.raises(error, match=match):
+            SplitSpec(**{"train_fraction": 0.5, **fields})
+
+    def test_numpy_numbers_are_accepted(self):
+        assert SplitSpec(np.float64(0.5), False, np.int64(3)).seed == 3
+
     def test_memory_is_one_output(self):
         data = synth_sparse(100, 5, 4, 2500, 1.0, 3)
         assert peak_over_output(split, data, SplitSpec(0.8, seed=1)) < 1.02

@@ -42,6 +42,22 @@ class TestAbsSmooth:
             assert abs_smooth(1e6, 5.0) == pytest.approx(1e6)
             assert abs_smooth(-1e300, 50.0) == pytest.approx(1e300)
 
+    @pytest.mark.parametrize("alpha", [0.5, 5.0, 50.0, 1e6])
+    @pytest.mark.parametrize("x", [0.0, 1e-300, -1e-300, 0.3, -0.3, 1e6, -1e6,
+                                   1e300, -1e300, math.inf, -math.inf, math.nan])
+    def test_python_float_matches_the_array_path(self, x, alpha):
+        ref = float(abs_smooth(np.array([x]), alpha)[0])
+        with np.errstate(all="raise"):
+            got = abs_smooth(x, alpha)
+        assert type(got) is float
+        if math.isnan(ref) or math.isinf(ref):
+            assert got == ref or (math.isnan(got) and math.isnan(ref))
+        else:
+            assert abs(got - ref) <= 2 * math.ulp(ref)
+
+    def test_numpy_scalar_keeps_its_type(self):
+        assert type(abs_smooth(np.float64(0.3), 5.0)) is np.float64
+
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
             abs_smooth(1.0, 0.0)
