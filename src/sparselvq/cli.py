@@ -21,7 +21,6 @@ import numpy as np
 
 from . import __version__
 from .dataset import (
-    DatasetError,
     SplitSpec,
     l2_normalize,
     load_csv,
@@ -30,7 +29,6 @@ from .dataset import (
     synth_sparse,
 )
 from .glvq import TransferFn
-from .metric import DimensionMismatch
 from .trainer import (
     MODEL_KINDS,
     LVQModel,
@@ -203,7 +201,11 @@ def _execute_run(manifest: dict) -> int:
         split_spec = SplitSpec(**manifest["split"])
         c = dict(manifest["config"])
         config = TrainConfig(transfer=TransferFn(**c.pop("transfer", {})), **c)
-        schedule = PathSchedule(**manifest["schedule"]) if manifest["schedule"] else None
+        schedule = manifest["schedule"]
+        if manifest["command"] == "path":
+            schedule = PathSchedule(**schedule)  # `**` on a null schedule raises TypeError
+        elif schedule is not None:
+            raise TypeError(f"a train run takes no schedule, got {schedule!r}")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed manifest: {type(exc).__name__}: {exc}") from exc
     data = load_csv(data_path, label_column)
@@ -296,7 +298,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (DatasetError, DimensionMismatch, NonFiniteUpdate, ValueError, OSError) as exc:
+    except (NonFiniteUpdate, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

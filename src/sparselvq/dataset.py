@@ -176,13 +176,13 @@ def load_csv(path, label_column: str) -> LabeledDataset:
                 converters={label_idx: lambda s: mapping.setdefault(s.strip(), len(mapping))})
             if table.shape[1] != len(header):
                 raise ValueError(f"rows have {table.shape[1]} cells, header has {len(header)}")
+            # a non-finite cell fails here; the error path below names its CSV column
+            return LabeledDataset(np.delete(table, label_idx, axis=1), table[:, label_idx].astype(int),
+                                  header[:label_idx] + header[label_idx + 1:], list(mapping))
         except ValueError as exc:
             fh.seek(start)
             _raise_first_bad_cell(csv.reader(fh), len(header), label_idx)
             raise DatasetError(f"{path}: {exc}") from exc
-    _check_finite(table)
-    return LabeledDataset(np.delete(table, label_idx, axis=1), table[:, label_idx].astype(int),
-                          header[:label_idx] + header[label_idx + 1:], list(mapping))
 
 
 def _raise_first_bad_cell(rows, width: int, label_idx: int) -> None:
@@ -205,9 +205,9 @@ def _raise_first_bad_cell(rows, width: int, label_idx: int) -> None:
                 raise NonFiniteValue(i, j)
 
 
-def save_csv(data: LabeledDataset, path, label_column: str = "label",
-             extra_meta: dict | None = None) -> Path:
+def save_csv(data: LabeledDataset, path, extra_meta: dict | None = None) -> Path:
     """Write CSV (full round-trip float precision) plus a JSON metadata sidecar.
+    The label column is named "label".
 
     The sidecar lands next to the CSV as <stem>.meta.json and carries the
     label mapping, dimension names and anything in extra_meta.
@@ -217,12 +217,12 @@ def save_csv(data: LabeledDataset, path, label_column: str = "label",
     label_names = data.label_names or [str(c) for c in range(data.n_classes)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(dim_names) + [label_column])
+        writer.writerow(list(dim_names) + ["label"])
         # csv.writer formats a Python float with str(), its shortest round-trip form
         for row, lab in zip(data.features, data.labels.tolist()):
             writer.writerow(row.tolist() + [label_names[lab]])
     meta = {
-        "label_column": label_column,
+        "label_column": "label",
         "label_names": label_names,
         "dim_names": list(dim_names),
         "n_samples": data.n_samples,
@@ -251,24 +251,20 @@ def l2_normalize(data: LabeledDataset) -> LabeledDataset:
 def split(data: LabeledDataset, spec: SplitSpec) -> tuple[LabeledDataset, LabeledDataset]:
     """Disjoint train/test split, deterministic in the seed.
 
-    Stratified splits draw per class and keep each side non-empty per
-    class, so proportions hold within one sample.
+    Rows are drawn per group: one group per class when stratified, all rows
+    when not. Each side keeps at least one row of every group of two or
+    more, so proportions hold within one sample.
     """
     rng = np.random.default_rng(spec.seed)
-    n = data.n_samples
-    train = np.zeros(n, dtype=bool)
-    if spec.stratified:
-        for c in range(data.n_classes):
-            idx = np.flatnonzero(data.labels == c)
-            if idx.size < 2:
-                raise ClassTooSmall(c, int(idx.size))
-            perm = rng.permutation(idx)
-            k = int(round(spec.train_fraction * idx.size))
-            train[perm[:min(max(k, 1), idx.size - 1)]] = True
-    else:
-        perm = rng.permutation(n)
-        k = int(round(spec.train_fraction * n))
-        train[perm[:min(max(k, 1), n - 1)]] = True
+    train = np.zeros(data.n_samples, dtype=bool)
+    groups = ([np.flatnonzero(data.labels == c) for c in range(data.n_classes)]
+              if spec.stratified else [np.arange(data.n_samples)])
+    for c, idx in enumerate(groups):
+        if spec.stratified and idx.size < 2:
+            raise ClassTooSmall(c, int(idx.size))
+        perm = rng.permutation(idx)
+        k = int(round(spec.train_fraction * idx.size))
+        train[perm[:min(max(k, 1), idx.size - 1)]] = True
     # boolean masks keep each side in row order
     return data.subset(train), data.subset(~train)
 

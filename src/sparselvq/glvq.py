@@ -73,6 +73,8 @@ class TransferFn:
             raise ValueError(f"unknown transfer kind {self.kind!r}")
         if self.kind == "sigmoid" and not 0 < self.slope < np.inf:
             raise ValueError(f"sigmoid slope must be positive and finite, got {self.slope!r}")
+        if self.kind == "identity" and self.slope != 1.0:
+            raise ValueError(f"identity transfer takes no slope, got {self.slope!r}")
 
     def value(self, x):
         if self.kind == "identity":
@@ -82,7 +84,7 @@ class TransferFn:
 
     def deriv(self, x):
         if self.kind == "identity":
-            return 1.0 if isinstance(x, (int, float)) else np.ones_like(np.asarray(x, dtype=float))
+            return 1.0
         s = self.value(x)
         return self.slope * s * (1.0 - s)
 
@@ -144,17 +146,10 @@ def xi_factors(d_plus: float, d_minus: float, f: TransferFn, mu: float) -> tuple
 INIT_JITTER = 0.01  # prototype start noise, as a fraction of each dimension's std
 
 
-def init_prototypes(
-    data: LabeledDataset,
-    per_class: int = 1,
-    rng: np.random.Generator | None = None,
-) -> PrototypeSet:
+def init_prototypes(data: LabeledDataset, per_class: int, rng: np.random.Generator) -> PrototypeSet:
     """`per_class` prototypes per class, each at the class mean plus Gaussian
     jitter of INIT_JITTER times the per-dimension std, from one draw of
     shape (classes * per_class, n) taken in prototype order."""
-    if per_class < 1:
-        raise ValueError("need at least one prototype per class")
-    rng = rng if rng is not None else np.random.default_rng(0)
     means = []
     for c in range(data.n_classes):
         rows = data.features[data.labels == c]

@@ -74,6 +74,8 @@ class TrainConfig:
         _check_numbers(self)
         if self.model_kind not in MODEL_KINDS:
             raise ValueError(f"model_kind must be one of {MODEL_KINDS}, got {self.model_kind!r}")
+        if self.omega_rows and self.model_kind != "gmlvq":
+            raise ValueError(f"omega_rows applies only to gmlvq, not {self.model_kind}")
         if self.epochs < 1 or self.protos_per_class < 1:
             raise ValueError("epochs and protos_per_class must be >= 1")
         if not self.alpha > 0:
@@ -482,9 +484,8 @@ def run_path(
     return all_metrics, snapshots
 
 
-def confusion_matrix(model: LVQModel, data: LabeledDataset, pred=None) -> np.ndarray:
-    """Counts[true, predicted] over the dataset; `pred` as in `evaluate`."""
-    pred = predict(model, data.features) if pred is None else pred
+def confusion_matrix(model: LVQModel, data: LabeledDataset, pred: np.ndarray) -> np.ndarray:
+    """Counts[true, predicted] over the dataset, `pred` holding `predict`'s labels."""
     c = max(data.n_classes, int(model.protos.labels.max()) + 1)
     out = np.zeros((c, c), dtype=int)
     np.add.at(out, (data.labels, pred), 1)

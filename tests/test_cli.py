@@ -226,6 +226,7 @@ class TestPathCommand:
         pytest.param(lambda m: m["split"].update(seed=True), id="bool-split-seed"),
         pytest.param(lambda m: m["split"].update(stratified="no"), id="string-stratified"),
         pytest.param(lambda m: m["split"].update(train_fraction=True), id="bool-train-fraction"),
+        pytest.param(lambda m: m.update(schedule=None), id="null-schedule"),
     ])
     def test_malformed_manifest_is_runtime_error(self, tmp_path, tiny_csv, capsys, edit):
         out1 = tmp_path / "p7"
@@ -239,6 +240,41 @@ class TestPathCommand:
         assert run_cli(["path", "--manifest", bad, "--out", tmp_path / "p8"]) == 1
         assert "malformed manifest" in capsys.readouterr().err
         assert not (tmp_path / "p8").exists()
+
+    @pytest.mark.parametrize("command,edit,message", [
+        pytest.param("train", lambda m: m.update(schedule={"steps": 2, "epochs_per_step": 1}),
+                     "malformed manifest: TypeError: a train run takes no schedule",
+                     id="train-with-schedule"),
+        pytest.param("path", lambda m: m["config"]["transfer"].update(slope=2.5),
+                     "identity transfer takes no slope", id="identity-slope"),
+        pytest.param("path", lambda m: m["config"].update(omega_rows=5),
+                     "omega_rows applies only to gmlvq, not grlvq", id="grlvq-omega-rows"),
+    ])
+    def test_manifest_setting_the_run_cannot_take_writes_no_run(self, tmp_path, tiny_csv,
+                                                                capsys, command, edit, message):
+        out1 = tmp_path / "r"
+        steps = ["--epochs-per-step", 1, "--reg-steps", 2] if command == "path" else []
+        assert run_cli([command, "--data", tiny_csv, "--epochs", 1, *steps, "--out", out1]) == 0
+        manifest = json.loads((out1 / "manifest.json").read_text())
+        edit(manifest)
+        bad = tmp_path / "bad_manifest.json"
+        bad.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run_cli([command, "--manifest", bad, "--out", tmp_path / "r2"]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "r2").exists()
+
+    def test_missing_schedule_fields_take_the_defaults(self, tmp_path, tiny_csv):
+        out1 = tmp_path / "p"
+        assert run_cli(["path", "--data", tiny_csv, "--epochs", 1, "--epochs-per-step", 1,
+                        "--reg-steps", 2, "--reg-end", 0.5, "--out", out1]) == 0
+        manifest = json.loads((out1 / "manifest.json").read_text())
+        manifest["schedule"] = {"steps": 2, "epochs_per_step": 1}
+        edited = tmp_path / "manifest.json"
+        edited.write_text(json.dumps(manifest))
+        assert run_cli(["path", "--manifest", edited, "--out", tmp_path / "p2"]) == 0
+        rows = (tmp_path / "p2" / "path.csv").read_text().splitlines()
+        assert [r.split(",")[0] for r in rows[1:]] == ["0.0", "1.0"]
 
     def test_manifest_that_is_not_an_object_is_runtime_error(self, tmp_path, capsys):
         bad = tmp_path / "list.json"
@@ -334,6 +370,8 @@ class TestEvalCommand:
                      id="float-labels"),
         pytest.param(lambda d: d.update({"lambda": [str(x) for x in d["lambda"]]}),
                      "`lambda` must hold", id="string-lambda"),
+        pytest.param(lambda d: d.update({"lambda": d["lambda"][:-1]}),
+                     "the metric has 5 dims, the prototypes 6", id="lambda-length"),
     ])
     def test_bad_model_file_is_runtime_error(self, tmp_path, tiny_csv, capsys, edit, message):
         out = tmp_path / "run"

@@ -303,6 +303,12 @@ class TestTransferFn:
         with pytest.raises(ValueError):
             TransferFn("softmax")
 
+    @pytest.mark.parametrize("slope", [2.5, 0.0, float("nan")])
+    def test_identity_takes_no_slope(self, slope):
+        with pytest.raises(ValueError, match="identity transfer takes no slope"):
+            TransferFn("identity", slope)
+        assert TransferFn("identity", 1.0) == IDENTITY
+
 
 class TestInitPrototypes:
     def test_means_plus_jitter(self):

@@ -292,8 +292,8 @@ class TestTrainEpoch:
         -2 lam^2 delta and 2 lam delta^2, or -2 O^T O delta and
         2 outer(O delta, delta), combined as xi+ g+ + xi- g-."""
         data = small_data(seed=59, n_dims=12, n_informative=4, classes=3, per_class=15)
-        cfg = TrainConfig(model_kind=kind, omega_rows=5, protos_per_class=2,
-                          rate_proto=0.05, rate_metric=0.01, seed=59)
+        cfg = TrainConfig(model_kind=kind, omega_rows=5 if kind == "gmlvq" else 0,
+                          protos_per_class=2, rate_proto=0.05, rate_metric=0.01, seed=59)
         model = init_model(data, cfg)
         train(model, data, cfg, 0.0, epochs=2)  # a state away from the initial one
         W, labels = model.protos.vectors.copy(), model.protos.labels
@@ -581,6 +581,12 @@ class TestConfigAndSchedule:
                 TrainConfig(**{count: True})
         assert TrainConfig(epochs=np.int64(3), seed=np.int64(1)).epochs == 3
 
+    @pytest.mark.parametrize("kind", ["glvq", "grlvq"])
+    def test_omega_rows_only_for_gmlvq(self, kind):
+        with pytest.raises(ValueError, match=f"omega_rows applies only to gmlvq, not {kind}"):
+            TrainConfig(model_kind=kind, omega_rows=5)
+        assert TrainConfig(model_kind="gmlvq", omega_rows=5).omega_rows == 5
+
 
 class TestModelSerialization:
     @pytest.mark.parametrize("kind,rows", [("glvq", 0), ("grlvq", 0), ("gmlvq", 3)])
@@ -733,7 +739,7 @@ class TestConfusion:
         rng = np.random.default_rng(53)
         data = small_data(seed=53, classes=2)
         model = random_model(rng, "glvq", n=6, n_classes=2)
-        conf = confusion_matrix(model, data)
+        conf = confusion_matrix(model, data, predict(model, data.features))
         assert conf.sum() == data.n_samples
         acc = np.trace(conf) / conf.sum()
         assert acc == pytest.approx(evaluate(model, data))
