@@ -7,11 +7,13 @@ sharpness parameter a > 0. It overestimates |x| by at most 2*log(2)/a and
 has the closed-form derivative tanh(a*x/2). The matrix norm surrogate
 replaces the exact max over column sums by a left-to-right fold of a
 smooth two-argument max. That max is (1/a) * log(exp(a*x) + exp(a*y)), so
-it is associative and the fold equals (1/a) * logsumexp(a * sums); the
-column-by-column loop stays only until it is replaced by that closed form.
-Its merges each take one pair of floats, so abs_smooth evaluates a Python
-float with the math module: numpy's per-call dispatch on one scalar costs
-more than the arithmetic.
+it is associative and the fold's value v is (1/a) * logsumexp(a * sums).
+The gradient is softmax(a * sums)[c] * tanh(a*O/2), and the softmax is
+read off the fold's value as exp(a * (sums - v)). The fold stays a
+column-by-column loop because perfbench pins its count of abs_smooth
+calls per penalty step (one per column). Its merges each take one pair of
+floats, so abs_smooth evaluates a Python float with the math module:
+numpy's per-call dispatch on one scalar costs more than the arithmetic.
 
 For a|x| well below 2 the surrogate is close to the quadratic
 2*log(2)/a + a*x**2/4, so on small parameters it acts like a ridge term:
@@ -84,19 +86,18 @@ def matrix_l1_exact(mat) -> float:
 
 
 def _fold(omega, alpha: float):
-    """Checked alpha and matrix, smoothed column sums, and the fold value
-    after each column, kept in Python floats: each merge is one abs_smooth
-    call on one float, where numpy's dispatch would cost more than the maths."""
+    """Checked alpha and matrix, smoothed column sums, and the fold's value,
+    kept in one Python float: each merge is one abs_smooth call on one float,
+    where numpy's dispatch would cost more than the maths."""
     alpha = _check_alpha(alpha)
     om = np.asarray(omega, dtype=float)
     if om.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {om.shape}")
     sums = np.sum(abs_smooth(om, alpha), axis=0)
-    prefix = [float(sums[0])]
-    for s in sums[1:].tolist():
-        acc = prefix[-1]
-        prefix.append(0.5 * (acc + s + abs_smooth(acc - s, alpha)))
-    return alpha, om, sums, prefix
+    value, *rest = sums.tolist()
+    for s in rest:
+        value = 0.5 * (value + s + abs_smooth(value - s, alpha))
+    return alpha, om, sums, value
 
 
 def matrix_l1_smooth(omega, alpha: float = DEFAULT_ALPHA) -> float:
@@ -107,26 +108,19 @@ def matrix_l1_smooth(omega, alpha: float = DEFAULT_ALPHA) -> float:
     so it equals ``logsumexp(alpha * sums) / alpha``; the error against
     the exact norm vanishes as alpha grows.
     """
-    *_, prefix = _fold(omega, alpha)
-    return prefix[-1]
+    return _fold(omega, alpha)[3]
 
 
 def matrix_l1_smooth_grad(omega, alpha: float = DEFAULT_ALPHA) -> np.ndarray:
-    """Gradient of :func:`matrix_l1_smooth` with respect to every entry.
+    """Gradient of :func:`matrix_l1_smooth` with respect to every entry:
+    ``softmax(alpha * sums)[c] * tanh(alpha*entry/2)``.
 
-    Exact chain rule through the fold: the forward pass records the
-    running fold value before each merge, the backward pass propagates
-    one factor (1 +- tanh)/2 per merge down to the smoothed column sums,
-    and each column sensitivity multiplies tanh(alpha*entry/2). The
-    result equals ``softmax(alpha * sums)[c] * tanh(alpha*entry/2)``.
+    The fold's value is ``logsumexp(alpha * sums) / alpha``, so the softmax
+    is ``exp(alpha * (sums - value))``. The value is at least the largest
+    sum, so the exponent cannot overflow at any alpha.
     """
-    alpha, om, sums, prefix = _fold(omega, alpha)
-    t = np.tanh(0.5 * alpha * (np.array(prefix[:-1]) - sums[1:]))  # one value per merge
-    up = 0.5 * (1.0 + t)    # d(merge)/d(previous fold value)
-    down = 0.5 * (1.0 - t)  # d(merge)/d(incoming column sum)
-    # column c joins at merge c - 1 (column 0 starts the fold), then passes every later one
-    dsums = np.append(1.0, down) * np.append(np.cumprod(up[::-1])[::-1], 1.0)
-    return dsums[np.newaxis, :] * np.tanh(0.5 * alpha * om)
+    alpha, om, sums, value = _fold(omega, alpha)
+    return np.exp(alpha * (sums - value))[np.newaxis, :] * np.tanh(0.5 * alpha * om)
 
 
 class SandwichBounds(NamedTuple):
