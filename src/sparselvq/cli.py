@@ -194,6 +194,9 @@ def _write_profile_csv(path: Path, model: LVQModel, dim_names) -> None:
 
 def _execute_run(manifest: dict) -> int:
     try:
+        for key in ("data", "label_column", "out"):  # "data": 0 would open standard input
+            if type(manifest[key]) is not str:
+                raise TypeError(f"{key} must be a string, got {manifest[key]!r}")
         data_path, label_column = manifest["data"], manifest["label_column"]
         normalize, outdir = manifest["l2_normalize"], Path(manifest["out"])
         if type(normalize) is not bool:

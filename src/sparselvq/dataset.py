@@ -92,6 +92,7 @@ class LabeledDataset:
         if self.labels.size and self.labels.min() < 0:
             raise DatasetError("labels must be non-negative class indices")
         _check_finite(self.features)
+        _check_label_names(self.label_names, self.labels)
         if self.dim_names is not None and len(self.dim_names) != self.features.shape[1]:
             raise DatasetError("dim_names length does not match feature count")
 
@@ -132,6 +133,17 @@ def _check_numbers(settings) -> None:
             raise TypeError(f"{f.name} must be a number, got {v!r}")
         if f.type in ("int", "float") and not 0 <= v < np.inf:
             raise ValueError(f"{f.name} must be finite and >= 0, got {v!r}")
+
+
+def _check_label_names(names, labels: np.ndarray) -> None:
+    """ValueError unless `names` is None or a list of distinct strings with
+    an entry for every label in `labels`."""
+    if names is not None and (type(names) is not list
+                              or not all(isinstance(n, str) for n in names)
+                              or len(set(names)) < len(names)
+                              or (labels.size and labels.max() >= len(names))):
+        raise ValueError(f"label_names must be a list of distinct strings naming "
+                         f"every label, got {names!r}")
 
 
 @dataclass(frozen=True)

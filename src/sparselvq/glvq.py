@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import LabeledDataset
+from .dataset import LabeledDataset, _check_numbers
 
 
 class NoSameClassPrototype(ValueError):
@@ -71,10 +71,11 @@ class TransferFn:
     def __post_init__(self):
         if self.kind not in ("identity", "sigmoid"):
             raise ValueError(f"unknown transfer kind {self.kind!r}")
-        if self.kind == "sigmoid" and not 0 < self.slope < np.inf:
-            raise ValueError(f"sigmoid slope must be positive and finite, got {self.slope!r}")
         if self.kind == "identity" and self.slope != 1.0:
             raise ValueError(f"identity transfer takes no slope, got {self.slope!r}")
+        _check_numbers(self)  # a bool or a string slope, or one not finite and >= 0
+        if not self.slope > 0:
+            raise ValueError(f"sigmoid slope must be positive, got {self.slope!r}")
 
     def value(self, x):
         if self.kind == "identity":

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import l1smooth, metric
-from .dataset import LabeledDataset, _check_numbers
+from .dataset import LabeledDataset, _check_label_names, _check_numbers
 from .glvq import (
     PrototypeSet,
     TransferFn,
@@ -124,7 +124,8 @@ class LVQModel:
     A glvq model built without a metric gets the uniform profile here;
     training keeps it frozen and model files leave it out. A kind outside
     MODEL_KINDS, a metric of the wrong class for the kind, or `label_names`
-    that is not a list naming every prototype label raises ValueError; a
+    that is not a list of distinct strings naming every prototype label
+    raises ValueError; a
     metric whose width differs from the prototypes' raises DimensionMismatch.
     """
 
@@ -149,11 +150,7 @@ class LVQModel:
         if self.metric.n_dims != self.n_features:
             raise DimensionMismatch(f"the metric has {self.metric.n_dims} dims, "
                                     f"the prototypes {self.n_features}")
-        names = self.label_names
-        if names is not None and (not isinstance(names, list)
-                                  or self.protos.labels.max() >= len(names)):
-            raise ValueError(f"label_names must be a list with an entry for every "
-                             f"prototype label, got {names!r}")
+        _check_label_names(self.label_names, self.protos.labels)
 
     @property
     def n_features(self) -> int:

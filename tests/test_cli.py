@@ -166,7 +166,7 @@ class TestPathCommand:
         (["--sparsity-threshold", "inf"], "sparsity_threshold must be finite"),
         (["--reg-end", "inf"], "reg_weight_end must be finite"),
         (["--transfer", "sigmoid", "--sigmoid-slope", "inf"],
-         "sigmoid slope must be positive and finite"),
+         "slope must be finite and >= 0, got inf"),
     ], ids=["alpha-inf", "rate-proto-nan", "rate-decay-inf", "rate-metric-inf",
             "sparsity-threshold-inf", "reg-end-inf", "sigmoid-slope-inf"])
     def test_setting_it_cannot_run_writes_no_run(self, tmp_path, tiny_csv, capsys,
@@ -227,6 +227,13 @@ class TestPathCommand:
         pytest.param(lambda m: m["split"].update(stratified="no"), id="string-stratified"),
         pytest.param(lambda m: m["split"].update(train_fraction=True), id="bool-train-fraction"),
         pytest.param(lambda m: m.update(schedule=None), id="null-schedule"),
+        pytest.param(lambda m: m["config"]["transfer"].update(kind="sigmoid", slope=True),
+                     id="bool-sigmoid-slope"),
+        pytest.param(lambda m: m["config"]["transfer"].update(slope=True), id="bool-identity-slope"),
+        pytest.param(lambda m: m["config"]["transfer"].update(kind="sigmoid", slope="2.5"),
+                     id="string-sigmoid-slope"),
+        pytest.param(lambda m: m.update(data=0), id="integer-data"),
+        pytest.param(lambda m: m.update(label_column=0), id="integer-label-column"),
     ])
     def test_malformed_manifest_is_runtime_error(self, tmp_path, tiny_csv, capsys, edit):
         out1 = tmp_path / "p7"
@@ -263,6 +270,23 @@ class TestPathCommand:
         assert run_cli([command, "--manifest", bad, "--out", tmp_path / "r2"]) == 1
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "r2").exists()
+
+    @pytest.mark.parametrize("key", ["data", "label_column", "out"])
+    def test_manifest_path_that_is_not_a_string_writes_no_run(self, tmp_path, tiny_csv, capsys,
+                                                             monkeypatch, key):
+        assert run_cli(["path", "--data", tiny_csv, "--epochs", 1, "--epochs-per-step", 1,
+                        "--reg-steps", 2, "--out", tmp_path / "r"]) == 0
+        manifest = json.loads((tmp_path / "r" / "manifest.json").read_text())
+        manifest["out"] = "r2"
+        manifest[key] = 0  # `open(0)` would read standard input
+        (tmp_path / "bad.json").write_text(json.dumps(manifest))
+        monkeypatch.chdir(tmp_path)
+        before = sorted(p.name for p in tmp_path.iterdir())
+        capsys.readouterr()
+        assert run_cli(["path", "--manifest", "bad.json"]) == 1  # no --out: the manifest's
+        err = capsys.readouterr().err
+        assert f"malformed manifest: TypeError: {key} must be a string, got 0" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
 
     def test_missing_schedule_fields_take_the_defaults(self, tmp_path, tiny_csv):
         out1 = tmp_path / "p"
@@ -372,6 +396,10 @@ class TestEvalCommand:
                      "`lambda` must hold", id="string-lambda"),
         pytest.param(lambda d: d.update({"lambda": d["lambda"][:-1]}),
                      "the metric has 5 dims, the prototypes 6", id="lambda-length"),
+        pytest.param(lambda d: d.update(label_names=[0, 1]), "label_names must be a list of "
+                     "distinct strings", id="integer-label-names"),
+        pytest.param(lambda d: d.update(label_names=["0", "0"]), "label_names must be a list of "
+                     "distinct strings", id="repeated-label-names"),
     ])
     def test_bad_model_file_is_runtime_error(self, tmp_path, tiny_csv, capsys, edit, message):
         out = tmp_path / "run"

@@ -299,6 +299,20 @@ class TestL2Normalize:
         assert np.array_equal(l2_normalize(data).labels, [1, 0])
 
 
+class TestLabelNames:
+    LABELS = np.array([0, 1, 1])
+
+    @pytest.mark.parametrize("names", [[0, 1], ["a", "a"], ["a"], "ab", ("a", "b")],
+                             ids=["integers", "repeated", "too-few", "string", "tuple"])
+    def test_must_be_distinct_strings_naming_every_label(self, names):
+        with pytest.raises(ValueError, match="label_names must be a list of distinct strings"):
+            LabeledDataset(np.zeros((3, 2)), self.LABELS, label_names=names)
+
+    @pytest.mark.parametrize("names", [None, ["a", "b"], ["a", "b", "c"]])
+    def test_accepted(self, names):
+        assert LabeledDataset(np.zeros((3, 2)), self.LABELS, label_names=names).label_names == names
+
+
 class TestSubset:
     def three_and_three(self):
         return LabeledDataset(np.arange(12, dtype=float).reshape(6, 2), np.array([0, 0, 0, 1, 1, 1]))

@@ -309,6 +309,23 @@ class TestTransferFn:
             TransferFn("identity", slope)
         assert TransferFn("identity", 1.0) == IDENTITY
 
+    @pytest.mark.parametrize("kind,slope", [("sigmoid", True), ("identity", True),
+                                            ("sigmoid", "2.5"), ("sigmoid", None)])
+    def test_slope_must_be_a_number(self, kind, slope):
+        with pytest.raises(TypeError, match="slope must be a number"):
+            TransferFn(kind, slope)
+
+    @pytest.mark.parametrize("slope,message", [
+        (0.0, "sigmoid slope must be positive"),
+        (-1.0, "slope must be finite and >= 0"),
+        (float("inf"), "slope must be finite and >= 0"),
+        (float("nan"), "slope must be finite and >= 0"),
+    ])
+    def test_sigmoid_slope_must_be_positive_and_finite(self, slope, message):
+        with pytest.raises(ValueError, match=message):
+            TransferFn("sigmoid", slope)
+        assert TransferFn("sigmoid", 2).slope == 2
+
 
 class TestInitPrototypes:
     def test_means_plus_jitter(self):

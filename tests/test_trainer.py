@@ -658,6 +658,8 @@ class TestModelValidation:
         "vector-length": ("glvq", lambda d: d.update(n_features=4)),
         "labels-vs-vectors": ("glvq", lambda d: d["protos"]["labels"].pop()),
         "label-without-a-name": ("glvq", lambda d: d.update(label_names=["a"])),
+        "integer-label-names": ("glvq", lambda d: d.update(label_names=[0, 1])),
+        "repeated-label-names": ("glvq", lambda d: d.update(label_names=["a", "a"])),
         "negative-label": ("glvq", lambda d: d["protos"]["labels"].__setitem__(0, -1)),
         "non-finite-vector": ("glvq", lambda d: d["protos"]["vectors"][0].__setitem__(0, float("nan"))),
         "non-finite-lambda": ("grlvq", lambda d: d["lambda"].__setitem__(0, float("inf"))),
@@ -696,6 +698,10 @@ class TestModelValidation:
                                                   label_names=["a"]), "label_names"),
         "label-names-not-a-list": (lambda: LVQModel("glvq", PrototypeSet(np.zeros((2, 5)), [0, 1]),
                                                     label_names="ab"), "label_names"),
+        "label-names-not-strings": (lambda: LVQModel("glvq", PrototypeSet(np.zeros((2, 5)), [0, 1]),
+                                                     label_names=[0, 1]), "label_names"),
+        "label-names-repeated": (lambda: LVQModel("glvq", PrototypeSet(np.zeros((2, 5)), [0, 1]),
+                                                  label_names=["0", "0"]), "label_names"),
         "omega-without-rows": (lambda: OmegaMatrix(np.zeros((0, 5))), "1 <= rows"),
         "omega-rows-beyond-the-data": (lambda: init_model(small_data(seed=3, n_dims=4),
                                                           TrainConfig("gmlvq", omega_rows=5)),
