@@ -125,8 +125,8 @@ class LVQModel:
     training keeps it frozen and model files leave it out. A kind outside
     MODEL_KINDS, a metric of the wrong class for the kind, or `label_names`
     that is not a list of distinct strings naming every prototype label
-    raises ValueError; a
-    metric whose width differs from the prototypes' raises DimensionMismatch.
+    raises ValueError; a metric whose width differs from the prototypes'
+    raises DimensionMismatch.
     """
 
     kind: str

@@ -232,8 +232,6 @@ class TestPathCommand:
         pytest.param(lambda m: m["config"]["transfer"].update(slope=True), id="bool-identity-slope"),
         pytest.param(lambda m: m["config"]["transfer"].update(kind="sigmoid", slope="2.5"),
                      id="string-sigmoid-slope"),
-        pytest.param(lambda m: m.update(data=0), id="integer-data"),
-        pytest.param(lambda m: m.update(label_column=0), id="integer-label-column"),
     ])
     def test_malformed_manifest_is_runtime_error(self, tmp_path, tiny_csv, capsys, edit):
         out1 = tmp_path / "p7"
@@ -283,7 +281,7 @@ class TestPathCommand:
         monkeypatch.chdir(tmp_path)
         before = sorted(p.name for p in tmp_path.iterdir())
         capsys.readouterr()
-        assert run_cli(["path", "--manifest", "bad.json"]) == 1  # no --out: the manifest's
+        assert run_cli(["path", "--manifest", "bad.json"]) == 1  # the manifest's own `out`
         err = capsys.readouterr().err
         assert f"malformed manifest: TypeError: {key} must be a string, got 0" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == before
