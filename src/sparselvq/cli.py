@@ -183,11 +183,9 @@ def _manifest_from_file(args, command: str) -> dict:
     return manifest
 
 
-def _write_profile_csv(path: Path, model: LVQModel, dim_names) -> None:
-    prof = model.profile()
-    names = dim_names or [f"f{i}" for i in range(prof.size)]
+def _write_profile_csv(path: Path, model: LVQModel, dim_names: list[str]) -> None:
     lines = ["dim_index,dim_name,lambda,lambda_sq"]
-    for i, (name, lam) in enumerate(zip(names, prof)):
+    for i, (name, lam) in enumerate(zip(dim_names, model.profile())):
         lines.append(f"{i},{name},{_fmt(lam)},{_fmt(lam * lam)}")
     path.write_text("\n".join(lines) + "\n")
 
@@ -261,10 +259,6 @@ def cmd_run(args) -> int:
 def cmd_eval(args) -> int:
     model = load_model(args.model)
     data = load_csv(args.data, args.label_col)
-    if data.n_features != model.n_features:
-        print(f"error: model expects {model.n_features} features but "
-              f"{args.data} has {data.n_features}", file=sys.stderr)
-        return 1
     names = model.label_names or [str(c) for c in range(int(model.protos.labels.max()) + 1)]
     unknown = ([n for n in data.label_names if n not in names] if model.label_names
                else data.label_names[len(names):])

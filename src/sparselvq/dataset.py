@@ -160,6 +160,9 @@ class SplitSpec:
             )
 
 
+SHIFT_BLOCK_ROWS = 256  # rows per in-place column shift in load_csv
+
+
 def load_csv(path, label_column: str) -> LabeledDataset:
     """Read a labeled dataset from CSV; label column selected by header name.
 
@@ -188,8 +191,14 @@ def load_csv(path, label_column: str) -> LabeledDataset:
                 converters={label_idx: lambda s: mapping.setdefault(s.strip(), len(mapping))})
             if table.shape[1] != len(header):
                 raise ValueError(f"rows have {table.shape[1]} cells, header has {len(header)}")
+            labels = table[:, label_idx].astype(int)
+            # shift the columns after the label one place left, in place: the features
+            # are then the view table[:, :-1]; row blocks keep numpy's overlap copy small
+            for row in range(0, table.shape[0], SHIFT_BLOCK_ROWS):
+                block = table[row:row + SHIFT_BLOCK_ROWS]
+                block[:, label_idx:-1] = block[:, label_idx + 1:]
             # a non-finite cell fails here; the error path below names its CSV column
-            return LabeledDataset(np.delete(table, label_idx, axis=1), table[:, label_idx].astype(int),
+            return LabeledDataset(table[:, :-1], labels,
                                   header[:label_idx] + header[label_idx + 1:], list(mapping))
         except ValueError as exc:
             fh.seek(start)

@@ -23,10 +23,6 @@ class NoOtherClassPrototype(ValueError):
     pass
 
 
-class DegenerateDistances(ValueError):
-    pass
-
-
 @dataclass
 class PrototypeSet:
     """Labeled reference vectors; classification = label of the nearest one."""
@@ -130,17 +126,15 @@ def classifier_mu(d_plus: float, d_minus: float) -> float:
     return (d_plus - d_minus) / total
 
 
-def xi_factors(d_plus: float, d_minus: float, f: TransferFn, mu: float) -> tuple[float, float]:
-    """Scalar chain-rule factors of f(mu) w.r.t. the two winner distances.
+def xi_factors(d_plus: float, d_minus: float, f: TransferFn) -> tuple[float, float]:
+    """Scalar chain-rule factors of f(mu) w.r.t. the two winner distances,
+    with mu = classifier_mu(d_plus, d_minus); the caller skips the tie
+    d_plus = d_minus = 0, where they are undefined.
 
     xi_plus = f'(mu) * 2*d_minus / (d_plus + d_minus)^2 >= 0,
     xi_minus = -f'(mu) * 2*d_plus / (d_plus + d_minus)^2 <= 0.
     """
-    total = d_plus + d_minus
-    if total == 0.0:
-        raise DegenerateDistances("both winner distances are zero")
-    fp = float(f.deriv(mu))
-    common = 2.0 * fp / total**2
+    common = 2.0 * float(f.deriv(classifier_mu(d_plus, d_minus))) / (d_plus + d_minus)**2
     return common * d_minus, -common * d_plus
 
 

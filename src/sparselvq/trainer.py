@@ -27,7 +27,6 @@ from .glvq import (
     PrototypeSet,
     TransferFn,
     class_index_table,
-    classifier_mu,
     init_prototypes,
     winners_from_distances,
     xi_factors,
@@ -390,8 +389,7 @@ def train_epoch(
         ip, im, d_plus, d_minus = winners_from_distances(dists, *table[labels[idx]])
         if d_plus + d_minus == 0.0:
             continue
-        mu = classifier_mu(d_plus, d_minus)
-        xp, xm = xi_factors(d_plus, d_minus, f, mu)
+        xp, xm = xi_factors(d_plus, d_minus, f)
         met = model.metric
 
         # all gradients taken at the pre-step state: D is not written below

@@ -125,8 +125,7 @@ def test_gradient_oracle_suite():
         else:
             groups = class_index_table(protos.labels, [label])[label]
             win = winners_from_distances(dists, *groups)
-            mu = classifier_mu(win.d_plus, win.d_minus)
-            xp, xm = xi_factors(win.d_plus, win.d_minus, IDENTITY, mu)
+            xp, xm = xi_factors(win.d_plus, win.d_minus, IDENTITY)
             analytic = np.zeros_like(protos.vectors)
             analytic[win.idx_plus] = xp * (-2.0) * (sample - protos.vectors[win.idx_plus])
             analytic[win.idx_minus] = xm * (-2.0) * (sample - protos.vectors[win.idx_minus])

@@ -339,6 +339,7 @@ class TestEvalCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert "9" in err and "6" in err
+        assert not (tmp_path / "e.json").exists()
 
     def test_label_the_model_never_saw_is_runtime_error(self, tmp_path, tiny_csv, capsys):
         out = tmp_path / "run"

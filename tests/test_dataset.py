@@ -106,6 +106,57 @@ class TestLoadCsv:
         assert np.array_equal(data.features, [[1.0, 2.0], [3.0, 4.0]])
 
 
+def write_with_label_at(tmp_path, features, label_names, pos):
+    """CSV of `features` with a "label" column at CSV column `pos`."""
+    header = [f"band {j}" for j in range(features.shape[1])]
+    header.insert(pos, "label")
+    lines = [",".join(header)]
+    for row, name in zip(features.tolist(), label_names):
+        cells = list(map(repr, row))
+        cells.insert(pos, name)
+        lines.append(",".join(cells))
+    return write(tmp_path, "\n".join(lines) + "\n")
+
+
+class TestLoadCsvLabelPosition:
+    """load_csv shifts the columns after the label in place, in row blocks."""
+
+    POSITIONS = {"first": 0, "middle": 100, "last": 200}
+
+    @pytest.fixture(scope="class")
+    def pixels(self):
+        # 5,000 x 200 values k/4, which repr writes and the reader reads exactly
+        rng = np.random.default_rng(12)
+        return rng.integers(-400, 400, size=(5000, 200)) / 4.0, rng.integers(0, 3, size=5000)
+
+    @pytest.mark.parametrize("where", sorted(POSITIONS))
+    def test_returns_the_columns_without_the_label_at_about_1x(self, tmp_path, pixels, where):
+        features, classes = pixels
+        names = [f"c{k}" for k in classes.tolist()]
+        p = write_with_label_at(tmp_path, features, names, self.POSITIONS[where])
+        # a feature copy beside the parsed table (np.delete) peaks at 2.00x
+        assert peak_over_output(load_csv, p, "label") < 1.25
+        data = load_csv(p, "label")
+        assert np.array_equal(data.features, features)
+        first_seen = list(dict.fromkeys(names))
+        assert data.label_names == first_seen
+        assert data.labels.tolist() == [first_seen.index(n) for n in names]
+        assert data.dim_names == [f"band {j}" for j in range(200)]
+
+    # the bad cell sits past the first row block, in the last feature column
+    @pytest.mark.parametrize("value, error", [("x", MalformedCell), ("nan", NonFiniteValue)])
+    @pytest.mark.parametrize("pos", [0, 2, 4])
+    def test_a_bad_cell_is_named_by_its_csv_row_and_column(self, tmp_path, pos, value, error):
+        features = np.tile([1.5, -2.0, 300.0, 4.0], (700, 1))
+        features[600, 3] = 12345.0
+        p = write_with_label_at(tmp_path, features, ["a"] * 700, pos)
+        p.write_text(p.read_text().replace("12345.0", value))
+        col = 4 if pos <= 3 else 3
+        with pytest.raises(error) as exc:
+            load_csv(p, "label")
+        assert (exc.value.row, exc.value.col) == (600, col)
+
+
 OK = "ok"
 
 

@@ -3,7 +3,6 @@ import pytest
 
 from sparselvq.dataset import LabeledDataset
 from sparselvq.glvq import (
-    DegenerateDistances,
     NoOtherClassPrototype,
     NoSameClassPrototype,
     PrototypeSet,
@@ -162,18 +161,14 @@ class TestCost:
 
 class TestXiFactors:
     def test_unit_distances(self):
-        xp, xm = xi_factors(1.0, 1.0, IDENTITY, classifier_mu(1.0, 1.0))
+        xp, xm = xi_factors(1.0, 1.0, IDENTITY)
         assert xp == pytest.approx(0.5)
         assert xm == pytest.approx(-0.5)
 
     def test_zero_d_plus_kills_xi_minus(self):
-        xp, xm = xi_factors(0.0, 2.0, IDENTITY, classifier_mu(0.0, 2.0))
+        xp, xm = xi_factors(0.0, 2.0, IDENTITY)
         assert xm == 0.0
         assert xp > 0.0
-
-    def test_degenerate_raises(self):
-        with pytest.raises(DegenerateDistances):
-            xi_factors(0.0, 0.0, IDENTITY, 0.0)
 
     @pytest.mark.parametrize("f", [IDENTITY, TransferFn("sigmoid", 2.0)])
     def test_matches_fd_of_transfer_of_mu(self, f):
@@ -188,7 +183,7 @@ class TestXiFactors:
 
             fd_p = (loss(dp + h, dm) - loss(dp - h, dm)) / (2 * h)
             fd_m = (loss(dp, dm + h) - loss(dp, dm - h)) / (2 * h)
-            xp, xm = xi_factors(dp, dm, f, classifier_mu(dp, dm))
+            xp, xm = xi_factors(dp, dm, f)
             assert xp == pytest.approx(fd_p, rel=1e-4, abs=1e-8)
             assert xm == pytest.approx(fd_m, rel=1e-4, abs=1e-8)
             assert xp >= 0.0 and xm <= 0.0
@@ -255,8 +250,7 @@ class TestPrototypeGradientInvariant:
             if (len(same) > 1 and same[1] - same[0] < 1e-3) or \
                (len(other) > 1 and other[1] - other[0] < 1e-3):
                 continue
-            mu = classifier_mu(win.d_plus, win.d_minus)
-            xp, xm = xi_factors(win.d_plus, win.d_minus, IDENTITY, mu)
+            xp, xm = xi_factors(win.d_plus, win.d_minus, IDENTITY)
             analytic = np.zeros_like(protos.vectors)
             analytic[win.idx_plus] = 0.5 * xp * (-2.0) * (sample - protos.vectors[win.idx_plus])
             analytic[win.idx_minus] = 0.5 * xm * (-2.0) * (sample - protos.vectors[win.idx_minus])

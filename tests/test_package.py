@@ -1,5 +1,6 @@
 """The top-level `sparselvq` namespace: the names a user calls, and no more."""
 
+import inspect
 import re
 from pathlib import Path
 
@@ -42,9 +43,14 @@ def test_sgd_step_maths_lives_in_its_module_only(module, name):
     assert not hasattr(sparselvq, name)
 
 
+def test_xi_factors_takes_the_two_winner_distances_and_the_transfer():
+    assert list(inspect.signature(glvq.xi_factors).parameters) == ["d_plus", "d_minus", "f"]
+
+
 @pytest.mark.parametrize("module,name", [
     (dataset, "select_bands"), (dataset, "IndexOutOfRange"), (l1smooth, "l1_exact"),
     (l1smooth, "smooth_max"), (trainer, "regularized_objective"),
+    (glvq, "DegenerateDistances"),
 ])
 def test_deleted_name_is_gone(module, name):
     assert not hasattr(module, name)

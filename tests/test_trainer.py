@@ -12,7 +12,6 @@ from sparselvq.glvq import (
     PrototypeSet,
     TransferFn,
     class_index_table,
-    classifier_mu,
     winners_from_distances,
     xi_factors,
 )
@@ -267,8 +266,7 @@ class TestTrainEpoch:
         W0, met0 = model.protos.vectors.copy(), model.copy().metric
         win = winners_from_distances(met0.dists(v - W0),
                                      *class_index_table(model.protos.labels, [label])[label])
-        xp, xm = xi_factors(win.d_plus, win.d_minus, IDENTITY,
-                            classifier_mu(win.d_plus, win.d_minus))
+        xp, xm = xi_factors(win.d_plus, win.d_minus, IDENTITY)
         cfg = TrainConfig(model_kind=kind, rate_proto=0.05, rate_metric=0.02)
         reg_weight = 0.5
         train_epoch(model, LabeledDataset(v[np.newaxis], np.array([label])), cfg,
