@@ -185,7 +185,7 @@ def _manifest_from_file(args, command: str) -> dict:
 
 def _write_profile_csv(path: Path, model: LVQModel, dim_names: list[str]) -> None:
     lines = ["dim_index,dim_name,lambda,lambda_sq"]
-    for i, (name, lam) in enumerate(zip(dim_names, model.profile())):
+    for i, (name, lam) in enumerate(zip(dim_names, model.metric.profile())):
         lines.append(f"{i},{name},{_fmt(lam)},{_fmt(lam * lam)}")
     path.write_text("\n".join(lines) + "\n")
 
@@ -269,12 +269,7 @@ def cmd_eval(args) -> int:
     pred = predict(model, data.features)
     acc = evaluate(model, data, pred)
     conf = confusion_matrix(model, data, pred)
-    print(f"accuracy {acc:.4f} on {data.n_samples} samples")
-    width = max(max(len(str(n)) for n in names), len(str(int(conf.max())))) + 2
-    print("confusion (rows = true, cols = predicted):")
-    print(" " * width + "".join(f"{n:>{width}}" for n in names))
-    for name, row in zip(names, conf):
-        print(f"{name:>{width}}" + "".join(f"{v:>{width}}" for v in row))
+    # the report goes first, so a reader that closes stdout early cannot stop it
     Path(args.out).write_text(json.dumps({
         "model": str(args.model),
         "data": str(args.data),
@@ -283,6 +278,12 @@ def cmd_eval(args) -> int:
         "confusion": conf.tolist(),
         "label_names": names,
     }, indent=2) + "\n")
+    print(f"accuracy {acc:.4f} on {data.n_samples} samples")
+    width = max(max(len(str(n)) for n in names), len(str(int(conf.max())))) + 2
+    print("confusion (rows = true, cols = predicted):")
+    print(" " * width + "".join(f"{n:>{width}}" for n in names))
+    for name, row in zip(names, conf):
+        print(f"{name:>{width}}" + "".join(f"{v:>{width}}" for v in row))
     return 0
 
 

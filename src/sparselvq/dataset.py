@@ -45,22 +45,6 @@ class NonFiniteValue(DatasetError):
         self.col = col
 
 
-class ZeroVectorRow(DatasetError):
-    def __init__(self, row: int):
-        super().__init__(f"row {row} has zero Euclidean norm")
-        self.row = row
-
-
-class ClassTooSmall(DatasetError):
-    def __init__(self, cls: int, count: int):
-        super().__init__(f"class {cls} has only {count} sample(s)")
-        self.cls = cls
-
-
-class InvalidCounts(DatasetError):
-    pass
-
-
 def _check_finite(a: np.ndarray) -> None:
     """Raise NonFiniteValue at the first NaN or inf cell of the 2-D array a.
     A finite sum clears every cell without an (N, n) mask; a non-finite one
@@ -262,7 +246,7 @@ def l2_normalize(data: LabeledDataset) -> LabeledDataset:
     norms = np.linalg.norm(data.features, axis=1)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
-        raise ZeroVectorRow(int(zero[0]))
+        raise DatasetError(f"row {zero[0]} has zero Euclidean norm")
     return LabeledDataset(
         data.features / norms[:, np.newaxis], data.labels.copy(),
         data.dim_names, data.label_names,
@@ -282,7 +266,7 @@ def split(data: LabeledDataset, spec: SplitSpec) -> tuple[LabeledDataset, Labele
               if spec.stratified else [np.arange(data.n_samples)])
     for c, idx in enumerate(groups):
         if spec.stratified and idx.size < 2:
-            raise ClassTooSmall(c, int(idx.size))
+            raise DatasetError(f"class {c} has only {idx.size} sample(s)")
         perm = rng.permutation(idx)
         k = int(round(spec.train_fraction * idx.size))
         train[perm[:min(max(k, 1), idx.size - 1)]] = True
@@ -308,14 +292,14 @@ def synth_sparse(
     shared across classes. Deterministic in the seed.
     """
     if classes < 2 or n_dims < 1 or per_class < 1:
-        raise InvalidCounts(
+        raise DatasetError(
             f"need classes >= 2, n_dims >= 1, per_class >= 1; "
             f"got {classes}, {n_dims}, {per_class}"
         )
     if not 0 <= n_informative <= n_dims:
-        raise InvalidCounts(f"n_informative must be in 0..{n_dims}, got {n_informative}")
+        raise DatasetError(f"n_informative must be in 0..{n_dims}, got {n_informative}")
     if noise_sigma < 0:
-        raise InvalidCounts(f"noise_sigma must be >= 0, got {noise_sigma}")
+        raise DatasetError(f"noise_sigma must be >= 0, got {noise_sigma}")
 
     rng = np.random.default_rng(seed)
     base = noise_sigma if noise_sigma > 0 else 1.0

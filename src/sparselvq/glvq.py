@@ -15,14 +15,6 @@ import numpy as np
 from .dataset import LabeledDataset, _check_numbers
 
 
-class NoSameClassPrototype(ValueError):
-    pass
-
-
-class NoOtherClassPrototype(ValueError):
-    pass
-
-
 @dataclass
 class PrototypeSet:
     """Labeled reference vectors; classification = label of the nearest one."""
@@ -100,9 +92,9 @@ def class_index_table(proto_labels, labels) -> dict[int, tuple[np.ndarray, np.nd
     for c in np.unique(labels).tolist():
         same = np.asarray(proto_labels) == c
         if not same.any():
-            raise NoSameClassPrototype(f"no prototype carries class {c}")
+            raise ValueError(f"no prototype carries class {c}")
         if same.all():
-            raise NoOtherClassPrototype(f"all prototypes carry class {c}")
+            raise ValueError(f"all prototypes carry class {c}")
         table[c] = (np.flatnonzero(same), np.flatnonzero(~same))
     return table
 

@@ -26,14 +26,6 @@ import numpy as np
 from . import l1smooth
 
 
-class DimensionMismatch(ValueError):
-    pass
-
-
-class AllZeroParameters(ValueError):
-    pass
-
-
 @dataclass
 class RelevanceProfile:
     """Per-dimension relevance weights; lam[i]**2 are the diagonal metric entries."""
@@ -109,10 +101,6 @@ class OmegaMatrix:
             raise ValueError(f"projection must have 1 <= rows <= columns, got {m}x{n}")
 
     @property
-    def rows(self) -> int:
-        return self.omega.shape[0]
-
-    @property
     def n_dims(self) -> int:
         return self.omega.shape[1]
 
@@ -161,9 +149,9 @@ def _delta(v, w, met: RelevanceProfile | OmegaMatrix) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
     if v.shape != w.shape:
-        raise DimensionMismatch(f"vector shapes differ: {v.shape} vs {w.shape}")
+        raise ValueError(f"vector shapes differ: {v.shape} vs {w.shape}")
     if v.shape != (met.n_dims,):
-        raise DimensionMismatch(f"metric has {met.n_dims} dims, vectors have shape {v.shape}")
+        raise ValueError(f"metric has {met.n_dims} dims, vectors have shape {v.shape}")
     return v - w
 
 
@@ -197,7 +185,7 @@ def normalize_lambda(rel: RelevanceProfile) -> RelevanceProfile:
     x = rel.lam.ravel("K")
     norm = math.sqrt(x @ x)  # what np.linalg.norm computes, without its dispatch
     if norm == 0.0:
-        raise AllZeroParameters("relevance profile is all zero")
+        raise ValueError("relevance profile is all zero")
     return RelevanceProfile(rel.lam / norm)
 
 
@@ -206,7 +194,7 @@ def normalize_omega(om: OmegaMatrix) -> OmegaMatrix:
     x = om.omega.ravel("K")
     norm = math.sqrt(x @ x)
     if norm == 0.0:
-        raise AllZeroParameters("projection matrix is all zero")
+        raise ValueError("projection matrix is all zero")
     return OmegaMatrix(om.omega / norm)
 
 
@@ -214,7 +202,7 @@ def clamp_lambda(rel: RelevanceProfile) -> RelevanceProfile:
     """Zero out negative components (applied before normalize_lambda)."""
     clamped = np.maximum(rel.lam, 0.0)
     if not (clamped > 0.0).any():
-        raise AllZeroParameters("clamping zeroed the whole relevance profile")
+        raise ValueError("clamping zeroed the whole relevance profile")
     return RelevanceProfile(clamped)
 
 
@@ -223,7 +211,7 @@ def det_metric(om: OmegaMatrix) -> float | None:
 
     Training monitors this and warns below 1e-12 instead of projecting.
     """
-    if om.rows != om.n_dims:
+    if om.omega.shape[0] != om.n_dims:
         return None
     d = float(np.linalg.det(om.omega))
     return d * d

@@ -31,7 +31,7 @@ from .glvq import (
     winners_from_distances,
     xi_factors,
 )
-from .metric import DimensionMismatch, OmegaMatrix, RelevanceProfile
+from .metric import OmegaMatrix, RelevanceProfile
 
 logger = logging.getLogger(__name__)
 
@@ -123,9 +123,8 @@ class LVQModel:
     A glvq model built without a metric gets the uniform profile here;
     training keeps it frozen and model files leave it out. A kind outside
     MODEL_KINDS, a metric of the wrong class for the kind, or `label_names`
-    that is not a list of distinct strings naming every prototype label
-    raises ValueError; a metric whose width differs from the prototypes'
-    raises DimensionMismatch.
+    that is not a list of distinct strings naming every prototype label,
+    or a metric whose width differs from the prototypes' raises ValueError.
     """
 
     kind: str
@@ -147,8 +146,8 @@ class LVQModel:
             raise ValueError(f"the metric of a {self.kind} model must be a "
                              f"{want.__name__}, got {type(self.metric).__name__}")
         if self.metric.n_dims != self.n_features:
-            raise DimensionMismatch(f"the metric has {self.metric.n_dims} dims, "
-                                    f"the prototypes {self.n_features}")
+            raise ValueError(f"the metric has {self.metric.n_dims} dims, "
+                             f"the prototypes {self.n_features}")
         _check_label_names(self.label_names, self.protos.labels)
 
     @property
@@ -164,10 +163,6 @@ class LVQModel:
     def omega(self) -> OmegaMatrix | None:
         """The metric of a gmlvq model; None for the other kinds."""
         return self.metric if self.kind == "gmlvq" else None
-
-    def profile(self) -> np.ndarray:
-        """Effective per-dimension relevance weights (unit square sum)."""
-        return self.metric.profile()
 
     def dist(self, v, w) -> float:
         """Scalar dissimilarity under the model's current metric."""
@@ -280,11 +275,11 @@ def distance_matrix(model: LVQModel, X: np.ndarray) -> np.ndarray:
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
-        raise DimensionMismatch(
+        raise ValueError(
             f"expected a 2-D (samples, features) array, got shape {X.shape}"
         )
     if X.shape[1] != model.n_features:
-        raise DimensionMismatch(
+        raise ValueError(
             f"model expects {model.n_features} features, data has {X.shape[1]}"
         )
     W = model.protos.vectors
@@ -374,7 +369,7 @@ def train_epoch(
     W = model.protos.vectors
     model.check()
     if X.shape[1] != model.n_features:
-        raise DimensionMismatch(f"model has {model.n_features} features, data has {X.shape[1]}")
+        raise ValueError(f"model has {model.n_features} features, data has {X.shape[1]}")
     table = class_index_table(model.protos.labels, y)
     decay = 1.0 / (1.0 + config.rate_decay * t)
     rate_p = config.rate_proto * decay
@@ -427,7 +422,7 @@ def train_epoch(
         test_accuracy=test_acc,
         cost=dataset_cost(model, train_data, f),
         reg_term=reg_term_of(model, alpha),
-        sparsity=sparsity_of(model.profile(), config.sparsity_threshold),
+        sparsity=sparsity_of(model.metric.profile(), config.sparsity_threshold),
         reg_weight=float(reg_weight),
     )
 

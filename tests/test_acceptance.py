@@ -270,7 +270,7 @@ def test_gmlvq_path_smoke(acceptance_splits, grlvq_run, monkeypatch):
     path_metrics, snapshots = run_path(model, tr, cfg, schedule, test_data=te, rng=rng,
                                        t0=cfg.epochs)
     assert len(deviations) == cfg.epochs + schedule.steps * schedule.epochs_per_step
-    mass = [float(np.sum(s.profile()[:N_INFORMATIVE] ** 2)) for s in snapshots]
+    mass = [float(np.sum(s.metric.profile()[:N_INFORMATIVE] ** 2)) for s in snapshots]
     _report("gmlvq path true-dimension mass per step: "
             + " ".join(f"{x:.4f}" for x in mass))
 

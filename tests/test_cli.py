@@ -330,6 +330,19 @@ class TestEvalCommand:
         report = json.loads((tmp_path / "eval.json").read_text())
         assert report["accuracy"] == pytest.approx(final["train_accuracy"], abs=1e-12)
 
+    def test_closed_stdout_still_leaves_the_report(self, tmp_path, tiny_csv, monkeypatch):
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        out = tmp_path / "run"
+        assert run_cli(["train", "--data", tiny_csv, "--epochs", 3, "--out", out]) == 0
+        args = ["eval", "--model", out / "model.json", "--data", tiny_csv, "--out"]
+        assert run_cli(args + [tmp_path / "unpiped.json"]) == 0
+        monkeypatch.setattr("sys.stdout", ClosedPipe())
+        run_cli(args + [tmp_path / "piped.json"])  # the exit code is not pinned
+        assert (tmp_path / "piped.json").read_bytes() == (tmp_path / "unpiped.json").read_bytes()
+
     def test_dimension_mismatch_reports_both_sizes(self, tmp_path, tiny_csv, capsys):
         model = LVQModel("glvq", PrototypeSet(np.zeros((2, 9)), np.array([0, 1])))
         mpath = tmp_path / "m.json"

@@ -50,7 +50,10 @@ def test_xi_factors_takes_the_two_winner_distances_and_the_transfer():
 @pytest.mark.parametrize("module,name", [
     (dataset, "select_bands"), (dataset, "IndexOutOfRange"), (l1smooth, "l1_exact"),
     (l1smooth, "smooth_max"), (trainer, "regularized_objective"),
-    (glvq, "DegenerateDistances"),
+    (glvq, "DegenerateDistances"), (glvq, "NoSameClassPrototype"),
+    (glvq, "NoOtherClassPrototype"), (metric, "DimensionMismatch"),
+    (metric, "AllZeroParameters"), (dataset, "InvalidCounts"), (dataset, "ClassTooSmall"),
+    (dataset, "ZeroVectorRow"),
 ])
 def test_deleted_name_is_gone(module, name):
     assert not hasattr(module, name)
@@ -59,7 +62,7 @@ def test_deleted_name_is_gone(module, name):
 
 @pytest.mark.parametrize("owner,name", [
     (dataset.LabeledDataset, "class_counts"), (glvq.TransferFn, "identity"),
-    (glvq.TransferFn, "sigmoid"),
+    (glvq.TransferFn, "sigmoid"), (metric.OmegaMatrix, "rows"), (trainer.LVQModel, "profile"),
 ])
 def test_deleted_method_is_gone(owner, name):
     assert not hasattr(owner, name)
