@@ -221,13 +221,11 @@ def _execute_run(manifest: dict) -> int:
     logger.info("training %s on %d samples (%d held out), %d features",
                 config.model_kind, train_data.n_samples, test_data.n_samples,
                 data.n_features)
-    metrics = train(model, train_data, config, 0.0, test_data=test_data, rng=rng)
+    metrics = train(model, train_data, config, test_data=test_data, rng=rng)
 
     if schedule is not None:
-        path_metrics, snapshots = run_path(
-            model, train_data, config, schedule,
-            test_data=test_data, rng=rng, t0=config.epochs,
-        )
+        path_metrics, snapshots = run_path(model, train_data, config, schedule,
+                                           test_data=test_data, rng=rng)
         metrics.extend(path_metrics)
         rows = ["reg_weight,train_accuracy,test_accuracy,sparsity"]
         for k, snap in enumerate(snapshots):

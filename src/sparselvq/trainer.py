@@ -431,18 +431,13 @@ def train(
     model: LVQModel,
     train_data: LabeledDataset,
     config: TrainConfig,
-    reg_weight: float = 0.0,
     *,
     test_data: LabeledDataset | None = None,
-    rng: np.random.Generator | None = None,
-    epochs: int | None = None,
-    t0: int = 0,
+    rng: np.random.Generator,
 ) -> list[EpochMetrics]:
-    """Run `epochs` (default config.epochs) at a fixed regularization weight."""
-    rng = rng if rng is not None else np.random.default_rng(config.seed)
-    n_epochs = config.epochs if epochs is None else epochs
-    return [train_epoch(model, train_data, config, reg_weight, rng, t0 + e, test_data)
-            for e in range(n_epochs)]
+    """Unregularized pretraining: config.epochs epochs at weight 0, from t = 0."""
+    return [train_epoch(model, train_data, config, 0.0, rng, t, test_data)
+            for t in range(config.epochs)]
 
 
 def run_path(
@@ -452,24 +447,21 @@ def run_path(
     schedule: PathSchedule,
     *,
     test_data: LabeledDataset | None = None,
-    rng: np.random.Generator | None = None,
-    t0: int = 0,
+    rng: np.random.Generator,
 ) -> tuple[list[EpochMetrics], list[LVQModel]]:
     """Ramp reg_weight over the schedule; one model snapshot per step.
 
-    The model is trained in place; snapshots are deep copies taken at the
-    end of each plateau. Deterministic given the rng/seed.
+    Continues `train` on the same rng: epochs are numbered on from
+    config.epochs, so the rate decay goes on from pretraining. The model
+    is trained in place; snapshots are deep copies taken at the end of
+    each plateau.
     """
-    rng = rng if rng is not None else np.random.default_rng(config.seed)
     all_metrics: list[EpochMetrics] = []
     snapshots: list[LVQModel] = []
-    t = t0
-    for w in schedule.weights():
-        all_metrics.extend(
-            train(model, train_data, config, float(w), test_data=test_data,
-                  rng=rng, epochs=schedule.epochs_per_step, t0=t)
-        )
-        t += schedule.epochs_per_step
+    for k, w in enumerate(schedule.weights()):
+        t = config.epochs + k * schedule.epochs_per_step
+        all_metrics += [train_epoch(model, train_data, config, float(w), rng, t + e, test_data)
+                        for e in range(schedule.epochs_per_step)]
         snapshots.append(model.copy())
     return all_metrics, snapshots
 

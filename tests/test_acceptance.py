@@ -74,11 +74,9 @@ def grlvq_run(acceptance_splits):
     rng = np.random.default_rng(cfg.seed)
     started = time.perf_counter()
     model = init_model(tr, cfg, rng)
-    pre = train(model, tr, cfg, 0.0, test_data=te, rng=rng)
+    pre = train(model, tr, cfg, test_data=te, rng=rng)
     schedule = PathSchedule(0.0, 1.0, steps=20, epochs_per_step=10)
-    path_metrics, snapshots = run_path(
-        model, tr, cfg, schedule, test_data=te, rng=rng, t0=cfg.epochs
-    )
+    path_metrics, snapshots = run_path(model, tr, cfg, schedule, test_data=te, rng=rng)
     elapsed = time.perf_counter() - started
     return {
         "model": model,
@@ -264,11 +262,11 @@ def test_gmlvq_path_smoke(acceptance_splits, grlvq_run, monkeypatch):
         deviations.append(abs(float(np.sum(m.metric.omega**2)) - 1.0))
         return metrics
 
-    monkeypatch.setattr(trainer, "train_epoch", watched_epoch)  # train looks it up per call
-    train(model, tr, cfg, 0.0, test_data=te, rng=rng)
+    # train and run_path look train_epoch up per call
+    monkeypatch.setattr(trainer, "train_epoch", watched_epoch)
+    train(model, tr, cfg, test_data=te, rng=rng)
     schedule = PathSchedule(0.0, 0.3, steps=10, epochs_per_step=4)
-    path_metrics, snapshots = run_path(model, tr, cfg, schedule, test_data=te, rng=rng,
-                                       t0=cfg.epochs)
+    path_metrics, snapshots = run_path(model, tr, cfg, schedule, test_data=te, rng=rng)
     assert len(deviations) == cfg.epochs + schedule.steps * schedule.epochs_per_step
     mass = [float(np.sum(s.metric.profile()[:N_INFORMATIVE] ** 2)) for s in snapshots]
     _report("gmlvq path true-dimension mass per step: "

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -7,7 +8,15 @@ from sparselvq import cli, trainer
 from sparselvq.cli import _manifest_from_args, build_parser, main
 from sparselvq.dataset import SplitSpec, load_csv, save_csv, split, synth_sparse
 from sparselvq.glvq import PrototypeSet, TransferFn
-from sparselvq.trainer import LVQModel, save_model
+from sparselvq.trainer import (
+    LVQModel,
+    PathSchedule,
+    TrainConfig,
+    init_model,
+    run_path,
+    save_model,
+    train,
+)
 
 
 def run_cli(args):
@@ -157,6 +166,29 @@ class TestPathCommand:
                         "--seed", 6, "--out", out_p]) == 0
         assert (out_t / "model.json").read_bytes() == (out_p / "model.json").read_bytes()
         assert (out_t / "metrics.jsonl").read_bytes() == (out_p / "metrics.jsonl").read_bytes()
+
+    def test_library_sequence_equals_the_cli_run(self, tmp_path):
+        """init_model, train and run_path on one rng rebuild `path` from its
+        manifest: run_path continues train's epoch count without being told."""
+        data_csv, out = tmp_path / "tiny.csv", tmp_path / "run"
+        assert run_cli(["synth", "--dims", 8, "--informative", 2, "--classes", 3,
+                        "--per-class", 10, "--seed", 1, "--out", data_csv]) == 0
+        assert run_cli(["path", "--data", data_csv, "--model", "grlvq", "--epochs", 3,
+                        "--reg-steps", 2, "--epochs-per-step", 2, "--seed", 4,
+                        "--out", out]) == 0
+        m = json.loads((out / "manifest.json").read_text())
+        assert not m["l2_normalize"]
+        train_set, test_set = split(load_csv(m["data"], m["label_column"]),
+                                    SplitSpec(**m["split"]))
+        c = m["config"]
+        config = TrainConfig(transfer=TransferFn(**c.pop("transfer")), **c)
+        rng = np.random.default_rng(config.seed)
+        model = init_model(train_set, config, rng)
+        metrics = train(model, train_set, config, test_data=test_set, rng=rng)
+        metrics += run_path(model, train_set, config, PathSchedule(**m["schedule"]),
+                            test_data=test_set, rng=rng)[0]
+        lines = "".join(json.dumps(asdict(e)) + "\n" for e in metrics)
+        assert lines == (out / "metrics.jsonl").read_text()
 
     @pytest.mark.parametrize("setting,message", [
         (["--alpha", "inf"], "alpha must be finite"),

@@ -47,6 +47,17 @@ def test_xi_factors_takes_the_two_winner_distances_and_the_transfer():
     assert list(inspect.signature(glvq.xi_factors).parameters) == ["d_plus", "d_minus", "f"]
 
 
+def test_train_and_run_path_take_only_what_the_code_cannot_work_out():
+    assert (list(inspect.signature(trainer.train).parameters)
+            == ["model", "train_data", "config", "test_data", "rng"])
+    assert (list(inspect.signature(trainer.run_path).parameters)
+            == ["model", "train_data", "config", "schedule", "test_data", "rng"])
+    for fn in (trainer.train, trainer.run_path):
+        rng = inspect.signature(fn).parameters["rng"]
+        assert rng.kind is inspect.Parameter.KEYWORD_ONLY
+        assert rng.default is inspect.Parameter.empty
+
+
 @pytest.mark.parametrize("module,name", [
     (dataset, "select_bands"), (dataset, "IndexOutOfRange"), (l1smooth, "l1_exact"),
     (l1smooth, "smooth_max"), (trainer, "regularized_objective"),

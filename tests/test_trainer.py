@@ -1,6 +1,6 @@
 import json
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -248,8 +248,8 @@ class TestTrainEpoch:
         m_r = init_model(data, cfg_r, rng_r)
         m_g = init_model(data, cfg_g, rng_g)
         assert np.array_equal(m_r.protos.vectors, m_g.protos.vectors)
-        train(m_r, data, cfg_r, 0.0, rng=rng_r)
-        train(m_g, data, cfg_g, 0.0, rng=rng_g)
+        train(m_r, data, cfg_r, rng=rng_r)
+        train(m_g, data, cfg_g, rng=rng_g)
         # the uniform profile rescales distances; the induced prototype
         # trajectory is scale invariant, so both runs coincide
         np.testing.assert_allclose(
@@ -293,7 +293,8 @@ class TestTrainEpoch:
         cfg = TrainConfig(model_kind=kind, omega_rows=5 if kind == "gmlvq" else 0,
                           protos_per_class=2, rate_proto=0.05, rate_metric=0.01, seed=59)
         model = init_model(data, cfg)
-        train(model, data, cfg, 0.0, epochs=2)  # a state away from the initial one
+        # a state away from the initial one
+        train(model, data, replace(cfg, epochs=2), rng=np.random.default_rng(cfg.seed))
         W, labels = model.protos.vectors.copy(), model.protos.labels
         lam = model.metric.lam.copy() if kind != "gmlvq" else None
         O = model.metric.omega.copy() if kind == "gmlvq" else None
@@ -431,7 +432,8 @@ class TestTrainEpoch:
         cfg = TrainConfig(model_kind="grlvq", epochs=10, seed=3)
         rng = np.random.default_rng(cfg.seed)
         model = init_model(data, cfg, rng)
-        train(model, data, cfg, 1.0, rng=rng)
+        for t in range(cfg.epochs):
+            train_epoch(model, data, cfg, 1.0, rng, t)
         assert np.all(model.metric.lam >= 0.0)
 
     def test_near_singular_square_metric_warns(self, caplog):
@@ -465,7 +467,8 @@ class TestObjectiveDescent:
             rng = np.random.default_rng(cfg.seed)
             model = init_model(data, cfg, rng)
             before = objective(model, data, cfg)
-            train(model, data, cfg, reg_weight, rng=rng)
+            for t in range(cfg.epochs):
+                train_epoch(model, data, cfg, reg_weight, rng, t)
             after = objective(model, data, cfg)
             if after <= before:
                 hold += 1
@@ -480,7 +483,8 @@ class TestDeterminism:
         def run():
             rng = np.random.default_rng(cfg.seed)
             model = init_model(data, cfg, rng)
-            return [json.dumps(asdict(m)) for m in train(model, data, cfg, 0.2, rng=rng)]
+            return [json.dumps(asdict(train_epoch(model, data, cfg, 0.2, rng, t)))
+                    for t in range(cfg.epochs)]
 
         assert run() == run()
 
@@ -492,13 +496,13 @@ class TestRunPath:
 
         rng_a = np.random.default_rng(cfg.seed)
         model_a = init_model(data, cfg, rng_a)
-        metrics_a = train(model_a, data, cfg, 0.0, rng=rng_a, epochs=4)
+        metrics_a = train(model_a, data, replace(cfg, epochs=4), rng=rng_a)
 
         rng_b = np.random.default_rng(cfg.seed)
         model_b = init_model(data, cfg, rng_b)
-        metrics_b = train(model_b, data, cfg, 0.0, rng=rng_b, epochs=2)
+        metrics_b = train(model_b, data, cfg, rng=rng_b)
         schedule = PathSchedule(0.0, 0.0, steps=1, epochs_per_step=2)
-        pm, snaps = run_path(model_b, data, cfg, schedule, rng=rng_b, t0=2)
+        pm, snaps = run_path(model_b, data, cfg, schedule, rng=rng_b)
         metrics_b.extend(pm)
 
         assert np.array_equal(model_a.protos.vectors, model_b.protos.vectors)
@@ -524,10 +528,9 @@ class TestRunPath:
         cfg = TrainConfig(model_kind="grlvq", epochs=20, seed=6)
         rng = np.random.default_rng(cfg.seed)
         model = init_model(tr, cfg, rng)
-        train(model, tr, cfg, 0.0, test_data=te, rng=rng)
+        train(model, tr, cfg, test_data=te, rng=rng)
         schedule = PathSchedule(0.0, 2.0, steps=11, epochs_per_step=3)
-        _, snaps = run_path(model, tr, cfg, schedule, test_data=te, rng=rng,
-                            t0=cfg.epochs)
+        _, snaps = run_path(model, tr, cfg, schedule, test_data=te, rng=rng)
         norms = [np.abs(s.metric.lam).sum() for s in snaps]
         pairs = list(zip(norms, norms[1:]))
         ok = sum(b <= a + 1e-12 for a, b in pairs)
@@ -593,7 +596,8 @@ class TestModelSerialization:
         cfg = TrainConfig(model_kind=kind, epochs=2, omega_rows=rows, seed=12)
         rng = np.random.default_rng(cfg.seed)
         model = init_model(data, cfg, rng)
-        train(model, data, cfg, 0.1, rng=rng)
+        for t in range(cfg.epochs):
+            train_epoch(model, data, cfg, 0.1, rng, t)
         path = tmp_path / "model.json"
         save_model(model, path)
         loaded = load_model(path)
