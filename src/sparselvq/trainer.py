@@ -39,11 +39,11 @@ MODEL_KINDS = ("glvq", "grlvq", "gmlvq")
 
 DET_WARN_THRESHOLD = 1e-12
 
-# rows per block in distance_matrix; bounds its working memory. At 128 rows
-# OpenBLAS (0.3.31) runs both products on one thread, the projection by a
-# 20 x 200 Omega included. At 256 rows that projection wakes a second thread
-# and a 100,000 x 200 GMLVQ predict slows (41 ms on two threads, 34 ms on
-# one, on a 2-core Xeon); a wider Omega still takes that path
+# rows per block in distance_matrix and predict; bounds their working memory.
+# At 256 rows OpenBLAS (0.3.31) wakes a second thread for distance_matrix's
+# projection by a 20 x 200 Omega, and predict, still on one thread, slows:
+# 55-61 ms against 45-46 ms at 128 rows for 100,000 x 200 rows and 5
+# prototypes, GRLVQ and GMLVQ alike (medians of 15 calls, 2-core Xeon)
 DIST_BLOCK_ROWS = 128
 
 
@@ -108,7 +108,7 @@ class PathSchedule:
 class EpochMetrics:
     epoch: int
     train_accuracy: float
-    test_accuracy: float
+    test_accuracy: float | None  # None without a held-out set
     cost: float
     reg_term: float
     sparsity: float
@@ -259,6 +259,20 @@ def _dists_to_protos(model: LVQModel, v: np.ndarray) -> tuple[np.ndarray, np.nda
     return D, model.metric.dists(D)
 
 
+def _rows(model: LVQModel, X) -> np.ndarray:
+    """X as a float array; ValueError unless it is 2-D and as wide as the model."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValueError(
+            f"expected a 2-D (samples, features) array, got shape {X.shape}"
+        )
+    if X.shape[1] != model.n_features:
+        raise ValueError(
+            f"model expects {model.n_features} features, data has {X.shape[1]}"
+        )
+    return X
+
+
 def distance_matrix(model: LVQModel, X: np.ndarray) -> np.ndarray:
     """(N, M) distances between the rows of X and the prototypes.
 
@@ -271,17 +285,10 @@ def distance_matrix(model: LVQModel, X: np.ndarray) -> np.ndarray:
     used beyond X and the (N, M) result is one (DIST_BLOCK_ROWS, n) block
     (plus its (DIST_BLOCK_ROWS, m) projection for gmlvq), whatever N is.
     Entries agree with `LVQModel.dist` up to rounding and are clamped at
-    zero. N = 0 gives an empty (0, M) result; X must be 2-D.
+    zero. N = 0 gives an empty (0, M) result; X must be 2-D. The epoch
+    metrics read it; `predict` needs no distances and does not.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ValueError(
-            f"expected a 2-D (samples, features) array, got shape {X.shape}"
-        )
-    if X.shape[1] != model.n_features:
-        raise ValueError(
-            f"model expects {model.n_features} features, data has {X.shape[1]}"
-        )
+    X = _rows(model, X)
     W = model.protos.vectors
     met = model.metric
     centre = W.mean(axis=0)
@@ -306,19 +313,46 @@ def distance_matrix(model: LVQModel, X: np.ndarray) -> np.ndarray:
 def predict(model: LVQModel, X: np.ndarray) -> np.ndarray:
     """Label of the nearest prototype per row of the 2-D array X.
 
-    Goes through `distance_matrix`, so it runs in that function's bounded
-    memory on image-sized inputs. Ties go to the lowest prototype index.
-    Distances are exact only up to rounding, so the rule holds for ties
-    that rounding preserves: prototypes whose distances differ by less
-    than rounding error may be ranked either way.
+    With rows and prototypes centred on the prototype mean (so a large
+    common offset does not cancel), d(x, w_k) = |P x|^2 + s_k for the score
+    s_k = x . g_k + |P w_k|^2, where g_k = -2 Lambda w_k is the metric's
+    prototype gradient (Lambda = diag(lambda^2) or Omega^T Omega). |P x|^2
+    is the same for every k, so each block of DIST_BLOCK_ROWS rows takes one
+    (rows, n) x (n, M) product and an argmin: X is not projected and no
+    (N, M) distance matrix is built. Coinciding prototypes are scored once,
+    so the lowest index wins their ties; other ties go to the lowest index
+    as far as rounding preserves them.
     """
-    d = distance_matrix(model, X)
-    return model.protos.labels[np.argmin(d, axis=1)]
+    X = _rows(model, X)
+    W = model.protos.vectors
+    centre = W.mean(axis=0)
+    # BLAS may round two equal columns of the product differently; comparing
+    # rows as raw bytes is 60x cheaper than np.unique(axis=0) at 5 x 200
+    keys = np.ascontiguousarray(W).view(np.dtype((np.void, W.itemsize * W.shape[1])))
+    first = np.sort(np.unique(keys, return_index=True)[1])
+    Wc = W[first] - centre
+    G = model.metric.winner_grads(Wc, None)[0]
+    q = model.metric.dists(Wc)
+    idx = np.empty(X.shape[0], dtype=np.intp)
+    buf = np.empty((min(X.shape[0], DIST_BLOCK_ROWS), X.shape[1]))
+    scores = np.empty((buf.shape[0], first.size))
+    for start in range(0, X.shape[0], DIST_BLOCK_ROWS):
+        rows = X[start:start + DIST_BLOCK_ROWS]
+        s = scores[:rows.shape[0]]
+        np.matmul(np.subtract(rows, centre, out=buf[:rows.shape[0]]), G.T, out=s)
+        s += q
+        np.argmin(s, axis=1, out=idx[start:start + DIST_BLOCK_ROWS])
+    return model.protos.labels[first][idx]
 
 
 def evaluate(model: LVQModel, data: LabeledDataset, pred: np.ndarray | None = None) -> float:
-    """Fraction of samples whose nearest prototype (or `pred`) has the right label."""
-    pred = predict(model, data.features) if pred is None else pred
+    """Fraction of samples whose nearest prototype (or `pred`) has the right label.
+
+    Without `pred` the nearest prototype comes from `distance_matrix`, which
+    the epoch cost reads too; `predict` agrees up to ties within rounding.
+    """
+    if pred is None:
+        pred = model.protos.labels[np.argmin(distance_matrix(model, data.features), axis=1)]
     return float(np.mean(pred == data.labels))
 
 
@@ -359,9 +393,8 @@ def train_epoch(
     """One stochastic pass; mutates `model` and returns end-of-epoch metrics.
 
     `t` is the global epoch index driving the 1/(1 + t*decay) rate decay.
-    Without a held-out set the test_accuracy field mirrors the training
-    accuracy. Samples whose two winner distances are both zero are
-    skipped (no usable gradient). The model, the data width and the class
+    Without a held-out set test_accuracy is None. Samples whose two winner
+    distances are both zero are skipped (no usable gradient). The model, the data width and the class
     table are checked before any step; each step checks W and the new
     metric parameters for finiteness once.
     """
@@ -415,7 +448,7 @@ def train_epoch(
                            det, DET_WARN_THRESHOLD, t)
 
     train_acc = evaluate(model, train_data)
-    test_acc = evaluate(model, test_data) if test_data is not None else train_acc
+    test_acc = evaluate(model, test_data) if test_data is not None else None
     return EpochMetrics(
         epoch=t,
         train_accuracy=train_acc,

@@ -209,9 +209,12 @@ def test_norm_sandwich_property():
 
 
 def test_sparse_recovery_experiment(grlvq_run):
-    """Desk-scale recovery: pretrained GRLVQ stays accurate while the
-    penalty ramp drives nearly all relevance mass onto the true
-    informative dimensions."""
+    """Desk-scale recovery at the default metric rate: pretrained GRLVQ
+    stays accurate and ends with nearly all relevance mass on the true
+    informative dimensions. Relevance learning alone, at weight 0, already
+    zeroes the noise dimensions in this setting during pretraining, so the
+    gate shows what the whole run reaches, not what the penalty adds;
+    `test_penalty_earns_its_sparsity` isolates the penalty."""
     pre_acc = grlvq_run["pretrain_test_accuracy"]
     assert pre_acc >= 0.90, f"pretraining reached only {pre_acc:.3f}"
 
@@ -238,6 +241,49 @@ def test_sparse_recovery_experiment(grlvq_run):
         f"(pretrain acc {pre_acc:.3f}, final sparsity {final_sparsity:.3f}, "
         f"true-dim mass {mass_on_true:.3f}, crossing acc {crossing.test_accuracy:.3f}, "
         f"{elapsed:.0f} s)"
+    )
+
+
+def test_penalty_earns_its_sparsity(acceptance_splits):
+    """At a metric rate where relevance learning alone keeps every
+    dimension, the ramp to weight 1 sparsifies and the weight-0 control
+    does not. Both continue one 20-epoch pretraining from the same model
+    and rng state. Measured at seeds 7, 11, 3, 1 and 5 (data, split and
+    training): control sparsity 0.000 with all 190 noise dimensions
+    alive; ramp sparsity 0.965-0.975 with none alive (largest noise
+    lambda^2 2.5e-7), 5-7 of 10 informative alive and test accuracy
+    1.000 against 1.000 pretrained."""
+    tr, te = acceptance_splits
+    cfg = TrainConfig(model_kind="grlvq", epochs=20, rate_metric=3e-4, alpha=5.0, seed=SEED)
+    rng = np.random.default_rng(cfg.seed)
+    model = init_model(tr, cfg, rng)
+    pre_acc = train(model, tr, cfg, test_data=te, rng=rng)[-1].test_accuracy
+    state = rng.bit_generator.state
+
+    final = {}
+    for name, end in (("control", 0.0), ("ramp", 1.0)):
+        run_rng = np.random.default_rng()
+        run_rng.bit_generator.state = state
+        m = model.copy()
+        metrics, _ = run_path(m, tr, cfg, PathSchedule(0.0, end, steps=10, epochs_per_step=5),
+                              test_data=te, rng=run_rng)
+        alive = m.metric.lam**2 >= cfg.sparsity_threshold
+        final[name] = (metrics[-1], int(alive[N_INFORMATIVE:].sum()),
+                       int(alive[:N_INFORMATIVE].sum()))
+
+    control, ramp = final["control"][0], final["ramp"][0]
+    assert control.sparsity <= 0.05, f"weight 0 alone reached sparsity {control.sparsity:.3f}"
+    assert ramp.sparsity >= 0.85, f"the ramp reached only sparsity {ramp.sparsity:.3f}"
+    noise_alive, informative_alive = final["ramp"][1:]
+    assert noise_alive == 0, f"{noise_alive} noise dimensions survive the ramp"
+    assert ramp.test_accuracy >= pre_acc - 0.05, (
+        f"accuracy {ramp.test_accuracy:.3f} after the ramp vs pretrained {pre_acc:.3f}")
+    _report(
+        "ACCEPTANCE PASS: the penalty earns its sparsity "
+        f"(pretrain acc {pre_acc:.3f}; weight 0: sparsity {control.sparsity:.3f}, "
+        f"{final['control'][1]} noise and {final['control'][2]} informative dims alive; "
+        f"ramp to 1: sparsity {ramp.sparsity:.3f}, {noise_alive} noise and "
+        f"{informative_alive} informative dims alive, acc {ramp.test_accuracy:.3f})"
     )
 
 

@@ -417,13 +417,15 @@ class TestEvalCommand:
         out = tmp_path / "run"
         assert run_cli(["train", "--data", tiny_csv, "--epochs", 1, "--out", out]) == 0
         calls = []
-        original = trainer.distance_matrix
+        original = trainer.predict
 
         def counting(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(trainer, "distance_matrix", counting)
+        # cli holds its own reference; trainer's is the one its functions see
+        monkeypatch.setattr(cli, "predict", counting)
+        monkeypatch.setattr(trainer, "predict", counting)
         assert main(["eval", "--model", str(out / "model.json"), "--data", str(tiny_csv),
                      "--out", str(tmp_path / "e.json")]) == 0
         assert len(calls) == 1

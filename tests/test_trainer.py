@@ -138,8 +138,11 @@ class TestDistanceMatrix:
         model = random_model(rng, kind, protos_per_class=1)
         X = rng.normal(size=(n_rows, 5))
         D = distance_matrix(model, X)
+        scalar = self.scalar_distances(model, X)
         assert D.shape == (n_rows, model.protos.n_protos)
-        assert D == pytest.approx(self.scalar_distances(model, X), rel=1e-9)
+        assert D == pytest.approx(scalar, rel=1e-9)
+        assert np.array_equal(predict(model, X),
+                              model.protos.labels[np.argmin(scalar, axis=1)])
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_large_common_offset_does_not_cancel(self, kind):
@@ -181,6 +184,21 @@ class TestDistanceMatrix:
         assert D[20:][np.arange(own.size), own] == pytest.approx(0.0, abs=1e-9)
         assert np.array_equal(np.argmin(D[20:], axis=1), own)
         assert np.array_equal(predict(model, X)[20:], model.protos.labels[own])
+
+    @pytest.mark.parametrize("n_protos", [2, 5])
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_coinciding_prototypes_tie_to_the_lower_index(self, kind, offset, n_protos):
+        # the last two prototypes share one vector but not their label and are
+        # nearest to every row; with five, a BLAS product can round their
+        # entries 3 and 4 differently (OpenBLAS 0.3.31 does for glvq)
+        rng = np.random.default_rng(83)
+        model = random_model(rng, kind, n=200, n_classes=n_protos, protos_per_class=1, m=20)
+        W = model.protos.vectors
+        W += offset
+        W[-1] = W[-2]
+        X = W[-2] + rng.normal(size=(2 * DIST_BLOCK_ROWS + 3, 200))
+        assert np.all(predict(model, X) == model.protos.labels[-2])
 
     def test_glvq_distance_is_squared_euclidean_over_n(self):
         # glvq is grlvq with the uniform profile, so every lam_i^2 is 1/n
@@ -237,6 +255,7 @@ class TestTrainEpoch:
         assert isinstance(m, EpochMetrics)
         for value in (m.train_accuracy, m.cost, m.reg_term, m.sparsity):
             assert np.isfinite(value)
+        assert m.test_accuracy is None  # no held-out set
 
     def test_frozen_uniform_profile_reduces_to_glvq(self):
         data = small_data(seed=7, per_class=25)
