@@ -10,6 +10,7 @@ Exit codes: 0 ok, 1 runtime failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import csv
 import datetime
 import json
 import logging
@@ -184,10 +185,11 @@ def _manifest_from_file(args, command: str) -> dict:
 
 
 def _write_profile_csv(path: Path, model: LVQModel, dim_names: list[str]) -> None:
-    lines = ["dim_index,dim_name,lambda,lambda_sq"]
-    for i, (name, lam) in enumerate(zip(dim_names, model.metric.profile())):
-        lines.append(f"{i},{name},{_fmt(lam)},{_fmt(lam * lam)}")
-    path.write_text("\n".join(lines) + "\n")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["dim_index", "dim_name", "lambda", "lambda_sq"])
+        writer.writerows([i, name, _fmt(lam), _fmt(lam * lam)]
+                         for i, (name, lam) in enumerate(zip(dim_names, model.metric.profile())))
 
 
 def _execute_run(manifest: dict) -> int:

@@ -3,8 +3,7 @@
 Two families: a per-dimension weighting (relevance profile, diagonal
 metric) and a full linear projection (m x n matrix, metric = O^T O).
 Each class owns its maths: distances (one pair, or one sample against
-many prototypes), the projection that turns the metric into the squared
-Euclidean distance, the gradients, the smooth l1 penalty and the
+many prototypes), the gradients, the smooth l1 penalty and the
 clamp/normalize step. The methods reach the module functions below and
 `l1smooth` by global lookup, so those stay the single implementation.
 `winner_grads` takes the two winners' difference rows `v - w` unchecked
@@ -56,11 +55,6 @@ class RelevanceProfile:
     def dists(self, diff: np.ndarray) -> np.ndarray:
         """sum(lam_i^2 * diff_i^2) for each row of an (M, n) difference array."""
         return diff**2 @ self.lam**2
-
-    def project(self, A: np.ndarray) -> np.ndarray:
-        """A * lambda, in place: the distance becomes the squared Euclidean one."""
-        A *= self.lam
-        return A
 
     def dist(self, v, w) -> float:
         return float(self.dists(_delta(v, w, self)[np.newaxis])[0])
@@ -116,10 +110,6 @@ class OmegaMatrix:
         """||O diff||^2 for each row of an (M, n) difference array."""
         p = diff @ self.omega.T  # (M, m)
         return np.einsum("ij,ij->i", p, p)
-
-    def project(self, A: np.ndarray) -> np.ndarray:
-        """A @ Omega^T: the distance becomes the squared Euclidean one."""
-        return A @ self.omega.T
 
     def dist(self, v, w) -> float:
         return float(self.dists(_delta(v, w, self)[np.newaxis])[0])

@@ -273,39 +273,62 @@ def _rows(model: LVQModel, X) -> np.ndarray:
     return X
 
 
+def _score_blocks(model: LVQModel, X: np.ndarray):
+    """Centred rows and nearest-prototype scores, DIST_BLOCK_ROWS rows at a time.
+
+    With rows and prototypes centred on the prototype mean (so a large
+    common offset does not cancel), d(x, w_k) = |P x|^2 + s_k for the
+    projection P (diag(lambda) or Omega) and the score s_k = x . g_k +
+    |P w_k|^2, where g_k = -2 P^T P w_k is the metric's prototype gradient.
+    Coinciding prototypes share one score column. Returns (first, column,
+    blocks): each column's first prototype, in index order; each
+    prototype's column; and an iterator of (row slice, centred rows,
+    scores) over the 2-D array X that reuses its buffers.
+    """
+    W = model.protos.vectors
+    centre = W.mean(axis=0)
+    # BLAS may round two equal columns of a product differently; comparing
+    # rows as raw bytes is 60x cheaper than np.unique(axis=0) at 5 x 200
+    keys = np.ascontiguousarray(W).view(np.dtype((np.void, W.itemsize * W.shape[1])))[:, 0]
+    _, first, column = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    column = np.argsort(order)[column]
+    Wc = W[first[order]] - centre
+    G = model.metric.winner_grads(Wc, None)[0]
+    q = model.metric.dists(Wc)
+    buf = np.empty((min(X.shape[0], DIST_BLOCK_ROWS), X.shape[1]))
+    scores = np.empty((buf.shape[0], q.size))
+
+    def blocks():
+        for start in range(0, X.shape[0], DIST_BLOCK_ROWS):
+            rows = slice(start, min(start + DIST_BLOCK_ROWS, X.shape[0]))
+            C = np.subtract(X[rows], centre, out=buf[:rows.stop - start])
+            s = scores[:C.shape[0]]
+            # BLAS: at (128, n) x (n, M) OpenBLAS (0.3.31) stays on one thread
+            np.matmul(C, G.T, out=s)
+            s += q
+            yield rows, C, s
+
+    return first[order], column, blocks()
+
+
 def distance_matrix(model: LVQModel, X: np.ndarray) -> np.ndarray:
     """(N, M) distances between the rows of X and the prototypes.
 
-    Every metric is a projection P (diag(lambda) or Omega), so
-    d(x, w) = ||P x - P w||^2 = ||p||^2 - 2 p.q + ||q||^2. Both sides
-    are first centred on the prototype mean, which leaves distances
-    unchanged but keeps a large common offset (raw reflectance, say) from
-    cancelling in that expansion. Rows are centred, projected and expanded
-    DIST_BLOCK_ROWS (128) at a time in one reused buffer, so the memory
-    used beyond X and the (N, M) result is one (DIST_BLOCK_ROWS, n) block
-    (plus its (DIST_BLOCK_ROWS, m) projection for gmlvq), whatever N is.
-    Entries agree with `LVQModel.dist` up to rounding and are clamped at
-    zero. N = 0 gives an empty (0, M) result; X must be 2-D. The epoch
-    metrics read it; `predict` needs no distances and does not.
+    Per block of `_score_blocks`, each prototype's score column plus |P x|^2,
+    clamped at zero, so the memory used beyond X and the result is one
+    (DIST_BLOCK_ROWS, n) block. Entries agree with `LVQModel.dist` up to
+    rounding. Coinciding prototypes get equal columns, so an argmin gives
+    their rows to the lower index, as in `predict`. N = 0 gives an empty
+    (0, M) result; X must be 2-D. The epoch metrics read it.
     """
     X = _rows(model, X)
-    W = model.protos.vectors
-    met = model.metric
-    centre = W.mean(axis=0)
-    Q = met.project(W - centre)
-    q_sq = np.einsum("ij,ij->i", Q, Q)
-    out = np.empty((X.shape[0], W.shape[0]))
-    buf = np.empty((min(X.shape[0], DIST_BLOCK_ROWS), X.shape[1]))
-    for start in range(0, X.shape[0], DIST_BLOCK_ROWS):
-        rows = X[start:start + DIST_BLOCK_ROWS]
-        P = met.project(np.subtract(rows, centre, out=buf[:rows.shape[0]]))
-        block = out[start:start + DIST_BLOCK_ROWS]
-        # BLAS, not einsum's generic loop: at (128, n) x (n, M) OpenBLAS (0.3.31)
-        # stays on one thread, so no worker wakes; 4x faster at n = 200, M = 5
-        np.matmul(P, Q.T, out=block)
-        block *= -2.0
-        block += np.einsum("ij,ij->i", P, P)[:, np.newaxis]
-        block += q_sq
+    _, column, blocks = _score_blocks(model, X)
+    out = np.empty((X.shape[0], column.size))
+    for rows, C, scores in blocks:
+        block = out[rows]
+        np.take(scores, column, axis=1, out=block)
+        block += model.metric.dists(C)[:, np.newaxis]
         np.maximum(block, 0.0, out=block)
     return out
 
@@ -313,43 +336,27 @@ def distance_matrix(model: LVQModel, X: np.ndarray) -> np.ndarray:
 def predict(model: LVQModel, X: np.ndarray) -> np.ndarray:
     """Label of the nearest prototype per row of the 2-D array X.
 
-    With rows and prototypes centred on the prototype mean (so a large
-    common offset does not cancel), d(x, w_k) = |P x|^2 + s_k for the score
-    s_k = x . g_k + |P w_k|^2, where g_k = -2 Lambda w_k is the metric's
-    prototype gradient (Lambda = diag(lambda^2) or Omega^T Omega). |P x|^2
-    is the same for every k, so each block of DIST_BLOCK_ROWS rows takes one
-    (rows, n) x (n, M) product and an argmin: X is not projected and no
-    (N, M) distance matrix is built. Coinciding prototypes are scored once,
-    so the lowest index wins their ties; other ties go to the lowest index
-    as far as rounding preserves them.
+    The argmin of `_score_blocks`' scores: |P x|^2 is the same for every
+    prototype, so X is not projected and no (N, M) distance matrix is
+    built. Coinciding prototypes are scored once, so the lowest index wins
+    their ties; other ties go to the lowest index as far as rounding
+    preserves them.
     """
     X = _rows(model, X)
-    W = model.protos.vectors
-    centre = W.mean(axis=0)
-    # BLAS may round two equal columns of the product differently; comparing
-    # rows as raw bytes is 60x cheaper than np.unique(axis=0) at 5 x 200
-    keys = np.ascontiguousarray(W).view(np.dtype((np.void, W.itemsize * W.shape[1])))
-    first = np.sort(np.unique(keys, return_index=True)[1])
-    Wc = W[first] - centre
-    G = model.metric.winner_grads(Wc, None)[0]
-    q = model.metric.dists(Wc)
+    first, _, blocks = _score_blocks(model, X)
     idx = np.empty(X.shape[0], dtype=np.intp)
-    buf = np.empty((min(X.shape[0], DIST_BLOCK_ROWS), X.shape[1]))
-    scores = np.empty((buf.shape[0], first.size))
-    for start in range(0, X.shape[0], DIST_BLOCK_ROWS):
-        rows = X[start:start + DIST_BLOCK_ROWS]
-        s = scores[:rows.shape[0]]
-        np.matmul(np.subtract(rows, centre, out=buf[:rows.shape[0]]), G.T, out=s)
-        s += q
-        np.argmin(s, axis=1, out=idx[start:start + DIST_BLOCK_ROWS])
+    for rows, _, scores in blocks:
+        np.argmin(scores, axis=1, out=idx[rows])
     return model.protos.labels[first][idx]
 
 
 def evaluate(model: LVQModel, data: LabeledDataset, pred: np.ndarray | None = None) -> float:
     """Fraction of samples whose nearest prototype (or `pred`) has the right label.
 
-    Without `pred` the nearest prototype comes from `distance_matrix`, which
-    the epoch cost reads too; `predict` agrees up to ties within rounding.
+    Without `pred` the nearest prototype is the argmin of `distance_matrix`,
+    which the epoch cost reads too. Its distances are `predict`'s scores plus
+    |P x|^2, so the two agree on coinciding prototypes (the lower index
+    wins) and elsewhere up to ties within rounding.
     """
     if pred is None:
         pred = model.protos.labels[np.argmin(distance_matrix(model, data.features), axis=1)]

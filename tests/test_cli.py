@@ -1,3 +1,4 @@
+import csv
 import json
 from dataclasses import asdict
 
@@ -78,6 +79,18 @@ class TestTrainCommand:
         profile = (out / "profile.csv").read_text().splitlines()
         assert profile[0] == "dim_index,dim_name,lambda,lambda_sq"
         assert len(profile) == 7  # header + 6 dims
+
+    def test_profile_rows_carry_the_header_names(self, tmp_path):
+        data = synth_sparse(4, 2, 2, 12, 1.0, 5)
+        data.dim_names = ["band, 450nm", 'say "470"', "b2", "b3"]
+        csv_path = tmp_path / "named.csv"
+        save_csv(data, csv_path)
+        out = tmp_path / "run"
+        assert run_cli(["train", "--data", csv_path, "--epochs", 2, "--out", out]) == 0
+        with open(out / "profile.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(r) for r in rows] == [4] * 5
+        assert [r[1] for r in rows[1:]] == load_csv(csv_path, "label").dim_names == data.dim_names
 
     def test_gmlvq_omega_rows_zero_is_usage_error(self, tmp_path, tiny_csv):
         code = run_cli(["train", "--data", tiny_csv, "--model", "gmlvq",

@@ -199,6 +199,12 @@ class TestDistanceMatrix:
         W[-1] = W[-2]
         X = W[-2] + rng.normal(size=(2 * DIST_BLOCK_ROWS + 3, 200))
         assert np.all(predict(model, X) == model.protos.labels[-2])
+        # the epoch metrics' distances: equal columns, so the same winner
+        D = distance_matrix(model, X)
+        assert np.array_equal(D[:, -1], D[:, -2])
+        assert np.all(np.argmin(D, axis=1) == n_protos - 2)
+        data = LabeledDataset(X, rng.choice(model.protos.labels[-2:], size=len(X)))
+        assert evaluate(model, data) == evaluate(model, data, predict(model, X))
 
     def test_glvq_distance_is_squared_euclidean_over_n(self):
         # glvq is grlvq with the uniform profile, so every lam_i^2 is 1/n
