@@ -120,14 +120,14 @@ def _check_numbers(settings) -> None:
 
 
 def _check_label_names(names, labels: np.ndarray) -> None:
-    """ValueError unless `names` is None or a list of distinct strings with
-    an entry for every label in `labels`."""
+    """ValueError unless `names` is None or a list of distinct non-empty
+    strings with an entry for every label in `labels`."""
     if names is not None and (type(names) is not list
-                              or not all(isinstance(n, str) for n in names)
+                              or not all(isinstance(n, str) and n for n in names)
                               or len(set(names)) < len(names)
                               or (labels.size and labels.max() >= len(names))):
-        raise ValueError(f"label_names must be a list of distinct strings naming "
-                         f"every label, got {names!r}")
+        raise ValueError(f"label_names must be a list of distinct strings, none "
+                         f"empty, naming every label, got {names!r}")
 
 
 @dataclass(frozen=True)
@@ -154,7 +154,7 @@ def load_csv(path, label_column: str) -> LabeledDataset:
     name the first bad cell in row-major order: ``row`` counts non-empty
     data rows from 0 and ``col`` is the CSV column.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # -sig: skip a leading BOM
         lines = iter(fh.readline, "")  # iterating fh itself would disable fh.tell()
         header = [h.strip() for h in next((r for r in csv.reader(lines) if r), [])]
         if not header:
@@ -181,7 +181,7 @@ def load_csv(path, label_column: str) -> LabeledDataset:
             for row in range(0, table.shape[0], SHIFT_BLOCK_ROWS):
                 block = table[row:row + SHIFT_BLOCK_ROWS]
                 block[:, label_idx:-1] = block[:, label_idx + 1:]
-            # a non-finite cell fails here; the error path below names its CSV column
+            # a non-finite cell or an empty label fails here; the error path below names its cell
             return LabeledDataset(table[:, :-1], labels,
                                   header[:label_idx] + header[label_idx + 1:], list(mapping))
         except ValueError as exc:
@@ -192,14 +192,17 @@ def load_csv(path, label_column: str) -> LabeledDataset:
 
 def _raise_first_bad_cell(rows, width: int, label_idx: int) -> None:
     """Error path of load_csv: raise for the first ragged row, malformed
-    cell or non-finite cell, taking as a number what numpy's reader takes."""
+    cell (an empty label among them) or non-finite cell, taking as a number
+    what numpy's reader takes."""
     for i, row in enumerate(r for r in rows if r):
         if len(row) != width:
             raise MalformedCell(i, len(row), f"expected {width} cells, got {len(row)}")
         for j, cell in enumerate(row):
-            if j == label_idx:
-                continue
             core = cell.strip()
+            if j == label_idx:
+                if not core:
+                    raise MalformedCell(i, j, "empty label cell")
+                continue
             try:
                 if not core.isascii() or "_" in core:  # float() takes both
                     raise ValueError(core)

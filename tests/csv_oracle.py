@@ -4,7 +4,8 @@ Every row goes through ``csv.reader`` and every number through ``float``,
 one cell at a time. It is slow but plain, so it serves as the oracle that
 the C-reader loader must match cell for cell. The one intended difference:
 ``float`` takes ``_`` as a digit separator (``1_0`` is 10.0 here), while
-``load_csv`` refuses such a cell as numpy's reader does.
+``load_csv`` refuses such a cell as numpy's reader does. Both skip a
+leading byte-order mark and refuse an empty label cell.
 """
 
 import csv
@@ -22,7 +23,7 @@ from sparselvq.dataset import (
 
 
 def load_csv_per_cell(path, label_column: str) -> LabeledDataset:
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = [r for r in csv.reader(fh) if r]
     if not rows:
         raise EmptyFile(f"{path} is empty")
@@ -45,6 +46,8 @@ def load_csv_per_cell(path, label_column: str) -> LabeledDataset:
         k = 0
         for j, cell in enumerate(row):
             if j == label_idx:
+                if not cell.strip():
+                    raise MalformedCell(i, j, "empty label cell")
                 raw_labels.append(cell.strip())
                 continue
             try:

@@ -97,6 +97,15 @@ class TestLoadCsv:
         with pytest.raises(MalformedCell):
             load_csv(p, "label")
 
+    # spreadsheet "CSV UTF-8" exports start with a byte-order mark
+    @pytest.mark.parametrize("text", ["label,a,b\nx,1,2\ny,3,4\n", "a,b,label\n1,2,x\n3,4,y\n"],
+                             ids=["label-first", "label-last"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, text):
+        data = load_csv(write(tmp_path, "\ufeff" + text), "label")
+        assert data.dim_names == ["a", "b"]
+        assert data.label_names == ["x", "y"]
+        assert np.array_equal(data.features, [[1.0, 2.0], [3.0, 4.0]])
+
     def test_label_column_position_free(self, tmp_path):
         p = write(tmp_path, "label,f0,f1\n0,1.0,2.0\n1,3.0,4.0\n")
         data = load_csv(p, "label")
@@ -189,6 +198,11 @@ PARITY_CORPUS = {
     "ragged-long": ("f0,f1,label\n1,2,a\n3,4,b,9\n", (MalformedCell, 1, 4)),
     "every-row-long": ("f0,f1,label\n1,2,a,9\n3,4,b,9\n", (MalformedCell, 0, 4)),
     "whitespace-only-line": ("f0,f1,label\n1,2,a\n   \n", (MalformedCell, 1, 1)),
+    "bom-bad-cell": ("\ufefflabel,f0,f1\na,1,2\nb,3,x\n", (MalformedCell, 1, 2)),
+    "empty-label": ("f0,f1,label\n1,2,x\n3,4,\n5,6,y\n", (MalformedCell, 1, 2)),
+    "blank-quoted-label": ('label,f0\na,1\n"  ",2\n', (MalformedCell, 1, 0)),
+    "empty-label-before-bad-cell": ("f0,f1,label\n1,2,\n3,x,b\n", (MalformedCell, 0, 2)),
+    "bad-cell-before-empty-label": ("f0,label,f1\nx,,1\n", (MalformedCell, 0, 0)),
     "non-finite-before-bad-cell": ("f0,f1,label\n1,nan,a\n2,3,b\n4,x,c\n", (NonFiniteValue, 0, 1)),
     "bad-cell-before-ragged-row": ("f0,f1,label\n1,x,a\n2,3\n", (MalformedCell, 0, 1)),
     "ragged-row-before-non-finite": ("f0,f1,label\n1,2\n3,inf,b\n", (MalformedCell, 0, 2)),
@@ -349,8 +363,8 @@ class TestL2Normalize:
 class TestLabelNames:
     LABELS = np.array([0, 1, 1])
 
-    @pytest.mark.parametrize("names", [[0, 1], ["a", "a"], ["a"], "ab", ("a", "b")],
-                             ids=["integers", "repeated", "too-few", "string", "tuple"])
+    @pytest.mark.parametrize("names", [[0, 1], ["a", "a"], ["a"], "ab", ("a", "b"), ["a", ""]],
+                             ids=["integers", "repeated", "too-few", "string", "tuple", "empty"])
     def test_must_be_distinct_strings_naming_every_label(self, names):
         with pytest.raises(ValueError, match="label_names must be a list of distinct strings"):
             LabeledDataset(np.zeros((3, 2)), self.LABELS, label_names=names)

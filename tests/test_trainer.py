@@ -185,25 +185,27 @@ class TestDistanceMatrix:
         assert np.array_equal(np.argmin(D[20:], axis=1), own)
         assert np.array_equal(predict(model, X)[20:], model.protos.labels[own])
 
-    @pytest.mark.parametrize("n_protos", [2, 5])
+    @pytest.mark.parametrize("n_protos", [2, 3, 5])
     @pytest.mark.parametrize("offset", [0.0, 1e6])
     @pytest.mark.parametrize("kind", KINDS)
     def test_coinciding_prototypes_tie_to_the_lower_index(self, kind, offset, n_protos):
-        # the last two prototypes share one vector but not their label and are
-        # nearest to every row; with five, a BLAS product can round their
-        # entries 3 and 4 differently (OpenBLAS 0.3.31 does for glvq)
+        # two prototypes share one vector but not their label and are nearest
+        # to every row: the last two, or with three the first and the last
+        # (W = [a, b, a]); with five, a BLAS product can round their entries
+        # 3 and 4 differently (OpenBLAS 0.3.31 does for glvq)
+        low, high = (0, 2) if n_protos == 3 else (n_protos - 2, n_protos - 1)
         rng = np.random.default_rng(83)
         model = random_model(rng, kind, n=200, n_classes=n_protos, protos_per_class=1, m=20)
         W = model.protos.vectors
         W += offset
-        W[-1] = W[-2]
-        X = W[-2] + rng.normal(size=(2 * DIST_BLOCK_ROWS + 3, 200))
-        assert np.all(predict(model, X) == model.protos.labels[-2])
+        W[high] = W[low]
+        X = W[low] + 0.5 * rng.normal(size=(2 * DIST_BLOCK_ROWS + 3, 200))
+        assert np.all(predict(model, X) == model.protos.labels[low])
         # the epoch metrics' distances: equal columns, so the same winner
         D = distance_matrix(model, X)
-        assert np.array_equal(D[:, -1], D[:, -2])
-        assert np.all(np.argmin(D, axis=1) == n_protos - 2)
-        data = LabeledDataset(X, rng.choice(model.protos.labels[-2:], size=len(X)))
+        assert np.array_equal(D[:, high], D[:, low])
+        assert np.all(np.argmin(D, axis=1) == low)
+        data = LabeledDataset(X, rng.choice(model.protos.labels[[low, high]], size=len(X)))
         assert evaluate(model, data) == evaluate(model, data, predict(model, X))
 
     def test_glvq_distance_is_squared_euclidean_over_n(self):
