@@ -301,8 +301,8 @@ def synth_sparse(
         )
     if not 0 <= n_informative <= n_dims:
         raise DatasetError(f"n_informative must be in 0..{n_dims}, got {n_informative}")
-    if noise_sigma < 0:
-        raise DatasetError(f"noise_sigma must be >= 0, got {noise_sigma}")
+    if not 0 <= noise_sigma < np.inf:
+        raise DatasetError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
 
     rng = np.random.default_rng(seed)
     base = noise_sigma if noise_sigma > 0 else 1.0

@@ -107,15 +107,14 @@ def winners_from_distances(dists, same_idx, other_idx) -> WinnerPair:
     return WinnerPair(ip, im, float(dists[ip]), float(dists[im]))
 
 
-def classifier_mu(d_plus: float, d_minus: float) -> float:
+def classifier_mu(d_plus, d_minus):
     """Normalized winner-distance difference in [-1, 1]; negative means correct.
 
-    Both distances zero is an undecided tie and maps to 0.
+    Takes floats (the SGD step) or arrays (the epoch cost), elementwise.
+    Both distances zero is an undecided tie and maps to 0, with no division by zero.
     """
     total = d_plus + d_minus
-    if total == 0.0:
-        return 0.0
-    return (d_plus - d_minus) / total
+    return (d_plus - d_minus) / (total + (total == 0.0))
 
 
 def xi_factors(d_plus: float, d_minus: float, f: TransferFn) -> tuple[float, float]:

@@ -27,6 +27,7 @@ from .glvq import (
     PrototypeSet,
     TransferFn,
     class_index_table,
+    classifier_mu,
     init_prototypes,
     winners_from_distances,
     xi_factors,
@@ -365,16 +366,15 @@ def sparsity_of(profile, threshold: float) -> float:
 
 
 def dataset_cost(model: LVQModel, data: LabeledDataset, f: TransferFn) -> float:
-    """Half the sum of f(mu) over the dataset, computed via the distance matrix."""
+    """Half the sum of f(mu) over the dataset: one `distance_matrix`, searched as the
+    SGD step searches (`class_index_table`, its ValueErrors too), scored by `classifier_mu`."""
     d = distance_matrix(model, data.features)
-    m_protos = model.protos.labels[np.newaxis, :] == data.labels[:, np.newaxis]
-    d_plus = np.where(m_protos, d, np.inf).min(axis=1)
-    d_minus = np.where(~m_protos, d, np.inf).min(axis=1)
-    if not np.all(np.isfinite(d_plus)) or not np.all(np.isfinite(d_minus)):
-        raise ValueError("some sample has no same-class or no other-class prototype")
-    total = d_plus + d_minus
-    mu = np.where(total > 0, (d_plus - d_minus) / np.where(total > 0, total, 1.0), 0.0)
-    return 0.5 * float(np.sum(f.value(mu)))
+    d_plus, d_minus = np.empty(len(d)), np.empty(len(d))
+    for c, (same, other) in class_index_table(model.protos.labels, data.labels).items():
+        rows = data.labels == c
+        d_plus[rows] = d[rows][:, same].min(axis=1)
+        d_minus[rows] = d[rows][:, other].min(axis=1)
+    return 0.5 * float(np.sum(f.value(classifier_mu(d_plus, d_minus))))
 
 
 def reg_term_of(model: LVQModel, alpha: float) -> float:
@@ -395,15 +395,16 @@ def train_epoch(
 
     `t` is the global epoch index driving the 1/(1 + t*decay) rate decay.
     Without a held-out set test_accuracy is None. Samples whose two winner
-    distances are both zero are skipped (no usable gradient). The model, the data width and the class
-    table are checked before any step; each step checks W and the new
-    metric parameters for finiteness once.
+    distances are both zero are skipped (no usable gradient). The model, both
+    data sets' widths and the class table are checked before any step; each
+    step checks W and the new metric parameters for finiteness once.
     """
     X, y = train_data.features, train_data.labels
     W = model.protos.vectors
     model.check()
-    if X.shape[1] != model.n_features:
-        raise ValueError(f"model has {model.n_features} features, data has {X.shape[1]}")
+    for data in (train_data, train_data if test_data is None else test_data):
+        if data.n_features != model.n_features:
+            raise ValueError(f"model has {model.n_features} features, data has {data.n_features}")
     table = class_index_table(model.protos.labels, y)
     decay = 1.0 / (1.0 + config.rate_decay * t)
     rate_p = config.rate_proto * decay

@@ -524,8 +524,11 @@ class TestSynthSparse:
             synth_sparse(5, 2, 1, 10)
         with pytest.raises(DatasetError, match="got 2, 5, 0"):
             synth_sparse(5, 2, 2, 0)
-        with pytest.raises(DatasetError, match="noise_sigma must be >= 0, got -1.0"):
-            synth_sparse(5, 2, 2, 10, noise_sigma=-1.0)
+
+    @pytest.mark.parametrize("sigma", [-1.0, float("nan"), float("inf")])
+    def test_noise_sigma_must_be_finite_and_nonnegative(self, sigma):
+        with pytest.raises(DatasetError, match=f"noise_sigma must be finite and >= 0, got {sigma}"):
+            synth_sparse(5, 2, 2, 10, noise_sigma=sigma)
 
     def test_deterministic(self):
         a = synth_sparse(10, 3, 3, 5, 1.0, 42)

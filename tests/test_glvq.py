@@ -120,6 +120,15 @@ class TestClassifierMu:
     def test_undecided_tie(self):
         assert classifier_mu(0.0, 0.0) == 0.0
 
+    def test_arrays_give_the_scalar_call_at_each_element(self):
+        # the epoch cost scores its whole winner table in one call, the tie included
+        d_plus = np.array([0.0, 0.0, 3.0, 1.0, 2.5, 1e-300])
+        d_minus = np.array([0.0, 2.0, 1.0, 1.0, 0.0, 1e-300])
+        with np.errstate(all="raise"):
+            mu = classifier_mu(d_plus, d_minus)
+        want = [classifier_mu(dp, dm) for dp, dm in zip(d_plus.tolist(), d_minus.tolist())]
+        assert mu.tolist() == want
+
     def test_range_and_sign(self):
         rng = np.random.default_rng(1)
         for _ in range(500):
@@ -135,6 +144,12 @@ class TestCost:
         data = LabeledDataset(np.empty((0, 2)), np.empty(0, dtype=int))
         protos = PrototypeSet(np.zeros((2, 2)), np.array([0, 1]))
         assert dataset_cost(euclid_model(protos), data, IDENTITY) == 0.0
+
+    def test_a_class_no_prototype_carries_errors(self):
+        protos = PrototypeSet(np.array([[0.0, 0.0], [3.0, 3.0]]), np.array([0, 1]))
+        data = LabeledDataset(np.zeros((3, 2)), np.array([0, 1, 3]))
+        with pytest.raises(ValueError, match="no prototype carries class 3"):
+            dataset_cost(euclid_model(protos), data, IDENTITY)
 
     def test_single_perfect_sample(self):
         protos = PrototypeSet(np.array([[0.0, 0.0], [3.0, 3.0]]), np.array([0, 1]))

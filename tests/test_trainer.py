@@ -413,14 +413,18 @@ class TestTrainEpoch:
             assert np.array_equal(model.protos.vectors, before_w)
             assert np.array_equal(model.metric.lam, before_l)
 
-    @pytest.mark.parametrize("width", [1, 4, 6])
-    def test_data_of_the_wrong_width_raises_dimension_mismatch(self, width):
+    @pytest.mark.parametrize("width, held_out", [(1, False), (4, False), (6, False), (4, True)],
+                             ids=["1", "4", "6", "held-out-4"])
+    def test_data_of_the_wrong_width_raises_dimension_mismatch(self, width, held_out):
         rng = np.random.default_rng(41)
         model = random_model(rng, "grlvq")  # 5 features
         data = LabeledDataset(rng.normal(size=(12, width)), np.repeat([0, 1, 2], 4))
+        fit = LabeledDataset(rng.normal(size=(12, 5)), np.repeat([0, 1, 2], 4))
+        train_data, test_data = (fit, data) if held_out else (data, None)
         before = model.protos.vectors.copy()
         with pytest.raises(ValueError, match=f"model has 5 features, data has {width}"):
-            train_epoch(model, data, TrainConfig(), 0.0, np.random.default_rng(0))
+            train_epoch(model, train_data, TrainConfig(), 0.0, np.random.default_rng(0),
+                        test_data=test_data)
         assert np.array_equal(model.protos.vectors, before)
 
     def test_metric_of_the_wrong_width_raises_dimension_mismatch(self):
