@@ -317,11 +317,14 @@ def synth_sparse(
                 # redraw the lowest row that repeats an earlier one
                 dup = np.setdiff1d(np.arange(classes), first)[0]
                 signs[dup] = rng.integers(0, 2, size=n_informative) * 2 - 1
-        mags = base * rng.uniform(4.0, 8.0, size=(classes, n_informative))
-        means[:, :n_informative] = signs * mags
+        means[:, :n_informative] = signs * rng.uniform(4.0, 8.0, size=(classes, n_informative))
 
-    # in place in one array; IEEE * and + commute: same bits as means[labels] + sigma * noise
+    # in place in one array, bit for bit base * means[labels] + sigma * noise (IEEE * and + commute)
     x = rng.standard_normal((classes, per_class, n_dims))
-    x *= noise_sigma
-    x += means[:, np.newaxis]
-    return LabeledDataset(x.reshape(-1, n_dims), np.repeat(np.arange(classes), per_class))
+    with np.errstate(over="ignore", invalid="ignore"):  # LabeledDataset refuses what overflowed
+        x *= noise_sigma
+        x += base * means[:, np.newaxis]
+    try:
+        return LabeledDataset(x.reshape(-1, n_dims), np.repeat(np.arange(classes), per_class))
+    except NonFiniteValue as exc:
+        raise DatasetError(f"noise_sigma {noise_sigma} makes the features overflow") from exc

@@ -34,8 +34,6 @@ class PrototypeSet:
             )
         if self.labels.min() < 0:
             raise ValueError(f"prototype labels must be nonnegative, got {self.labels}")
-        if not np.all(np.isfinite(self.vectors)):
-            raise ValueError("prototype vectors contain non-finite entries")
 
     @property
     def n_protos(self) -> int:

@@ -121,12 +121,12 @@ class LVQModel:
     """Labeled prototypes and one metric: an OmegaMatrix for gmlvq, else a
     RelevanceProfile.
 
-    A glvq model built without a metric gets the uniform profile here;
-    training keeps it frozen and model files leave it out. A kind outside
-    MODEL_KINDS, a metric of the wrong class for the kind, `label_names`
-    that is not a list of distinct non-empty strings naming every prototype
-    label, or a metric whose width differs from the prototypes' raises
-    ValueError.
+    A glvq model holds the uniform profile, which it gets here when built
+    without a metric; training keeps it frozen and model files leave it out.
+    A kind outside MODEL_KINDS, a metric of the wrong class for the kind or
+    not as wide as the prototypes, a non-finite prototype or metric entry,
+    another glvq profile, or `label_names` that is not a list of distinct
+    non-empty strings naming every prototype label raises ValueError.
     """
 
     kind: str
@@ -147,9 +147,13 @@ class LVQModel:
         if not isinstance(self.metric, want):
             raise ValueError(f"the metric of a {self.kind} model must be a "
                              f"{want.__name__}, got {type(self.metric).__name__}")
-        if self.metric.n_dims != self.n_features:
-            raise ValueError(f"the metric has {self.metric.n_dims} dims, "
-                             f"the prototypes {self.n_features}")
+        n = self.n_features
+        if self.metric.n_dims != n:
+            raise ValueError(f"the metric has {self.metric.n_dims} dims, the prototypes {n}")
+        if not (np.isfinite(self.protos.vectors).all() and np.isfinite(self.metric.params).all()):
+            raise ValueError("the prototype vectors and the metric must be finite")
+        if self.kind == "glvq" and not np.array_equal(self.metric.lam, RelevanceProfile.uniform(n).lam):
+            raise ValueError("a glvq model's profile must be the uniform one its model file implies")
         _check_label_names(self.label_names, self.protos.labels)
 
     @property
@@ -193,7 +197,7 @@ class LVQModel:
     def from_json_dict(cls, d: dict) -> "LVQModel":
         """Inverse of `to_json_dict`. The constructors check the model; this
         checks the file: ValueError when an entry is missing or of the wrong
-        type (labels JSON integers; vectors, `lambda` and `omega` finite JSON
+        type (labels JSON integers; vectors, `lambda` and `omega` JSON
         numbers; no bools), `n_features` is not the prototypes' width, or
         `lambda` is present other than for grlvq or `omega` other than for gmlvq.
         """
@@ -219,13 +223,11 @@ class LVQModel:
 
 def _entries(value, key: str, dtype=float) -> np.ndarray:
     """A model-file list of numbers, or of lists of them, as an array;
-    ValueError unless each is a finite JSON number (an integer for int)."""
+    ValueError unless each is a JSON number (an integer for int)."""
     leaves = chain.from_iterable(v if type(v) is list else (v,) for v in value)
-    if set(map(type, leaves)) <= {int, dtype}:  # bool is its own type
-        a = np.array(value, dtype=dtype)
-        if np.isfinite(a).all():
-            return a
-    raise ValueError(f"`{key}` must hold finite JSON {'integers' if dtype is int else 'numbers'}")
+    if not set(map(type, leaves)) <= {int, dtype}:  # bool is its own type
+        raise ValueError(f"`{key}` must hold JSON {'integers' if dtype is int else 'numbers'}")
+    return np.array(value, dtype=dtype)
 
 
 def save_model(model: LVQModel, path) -> None:
@@ -272,7 +274,7 @@ def _score_blocks(model: LVQModel, X):
     blocks): each column's first prototype, in index order; each
     prototype's column; and an iterator of (row slice, centred rows,
     scores) over X that reuses its buffers. ValueError unless X is a 2-D
-    array as wide as the model.
+    array as wide as the model, and at the first row whose score is not finite.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -304,6 +306,8 @@ def _score_blocks(model: LVQModel, X):
             # BLAS: at (128, n) x (n, M) OpenBLAS (0.3.31) stays on one thread
             np.matmul(C, G.T, out=s)
             s += q
+            if not np.isfinite(s).all():  # a NaN or inf cell (also where g is 0), or an overflow
+                raise ValueError(f"row {start + np.isfinite(s).all(1).argmin()} gives a non-finite score")
             yield rows, C, s
 
     return first, column, blocks()
@@ -360,7 +364,7 @@ def evaluate(model: LVQModel, data: LabeledDataset, pred: np.ndarray | None = No
 
 def sparsity_of(profile, threshold: float) -> float:
     """Fraction of dimensions with squared relevance below the threshold."""
-    if threshold <= 0:
+    if not threshold > 0:  # NaN too
         raise ValueError("threshold must be positive")
     return float(np.mean(np.asarray(profile, dtype=float)**2 < threshold))
 

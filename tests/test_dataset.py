@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 import warnings
 
@@ -525,10 +526,15 @@ class TestSynthSparse:
         with pytest.raises(DatasetError, match="got 2, 5, 0"):
             synth_sparse(5, 2, 2, 0)
 
-    @pytest.mark.parametrize("sigma", [-1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("sigma", [-1.0, float("nan"), float("inf"), 1e308])
     def test_noise_sigma_must_be_finite_and_nonnegative(self, sigma):
-        with pytest.raises(DatasetError, match=f"noise_sigma must be finite and >= 0, got {sigma}"):
-            synth_sparse(5, 2, 2, 10, noise_sigma=sigma)
+        # 1e308 is in range, but the features it scales are not finite
+        message = (f"noise_sigma {sigma} makes the features overflow" if sigma == 1e308
+                   else f"noise_sigma must be finite and >= 0, got {sigma}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DatasetError, match=re.escape(message)):
+                synth_sparse(5, 2, 2, 10, noise_sigma=sigma)
 
     def test_deterministic(self):
         a = synth_sparse(10, 3, 3, 5, 1.0, 42)

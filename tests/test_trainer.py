@@ -70,8 +70,9 @@ class TestSparsityOf:
         assert sparsity_of(lam, 1e-4) == pytest.approx(49 / 50)
 
     def test_threshold_positive(self):
-        with pytest.raises(ValueError):
-            sparsity_of(RelevanceProfile.uniform(4).lam, 0.0)
+        for threshold in (0.0, float("nan")):  # NaN is not <= 0 either
+            with pytest.raises(ValueError, match="threshold must be positive"):
+                sparsity_of(RelevanceProfile.uniform(4).lam, threshold)
 
 
 class TestEvaluatePredict:
@@ -232,6 +233,27 @@ class TestDistanceMatrix:
         model = random_model(np.random.default_rng(73), kind)
         assert distance_matrix(model, np.zeros((0, 5))).shape == (0, model.protos.n_protos)
         assert predict(model, np.zeros((0, 5))).shape == (0,)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul")
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_non_finite_row_is_refused_by_its_index(self, kind):
+        # a NaN no-data pixel, then an inf in a dimension of zero relevance
+        # for grlvq and gmlvq (inf * 0 is NaN), both in the second block
+        model = random_model(np.random.default_rng(101), kind)
+        if kind != "glvq":
+            params = model.metric.params.copy()
+            params[..., -1] = 0.0
+            model = LVQModel(kind, model.protos, type(model.metric)(params))
+        X = np.random.default_rng(103).normal(size=(2 * DIST_BLOCK_ROWS, 5))
+        first = DIST_BLOCK_ROWS + 3
+        X[first, 1] = np.nan
+        X[first + 5, -1] = np.inf
+        for bad in (first, first + 5):
+            for fn in (predict, distance_matrix):
+                with pytest.raises(ValueError, match=f"row {bad} gives a non-finite score"):
+                    fn(model, X)
+            X[bad] = 0.0
+        assert distance_matrix(model, X).shape == (len(X), model.protos.n_protos)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_predict_memory_is_bounded(self, kind):
@@ -739,6 +761,15 @@ class TestModelValidation:
         "omega-rows-beyond-the-data": (lambda: init_model(small_data(seed=3, n_dims=4),
                                                           TrainConfig("gmlvq", omega_rows=5)),
                                        "1 <= rows"),
+        "non-finite-vector": (lambda: LVQModel("glvq", PrototypeSet([[0.0, np.nan], [1.0, 1.0]],
+                                                                    [0, 1])), "must be finite"),
+        "non-finite-lambda": (lambda: LVQModel("grlvq", PrototypeSet(np.eye(2), [0, 1]),
+                                               RelevanceProfile([np.nan, 1.0])), "must be finite"),
+        "non-finite-omega": (lambda: LVQModel("gmlvq", PrototypeSet(np.eye(2), [0, 1]),
+                                              OmegaMatrix([[1.0, np.inf]])), "must be finite"),
+        # a glvq model file carries no profile: glvq-with-lambda is its file counterpart
+        "glvq-non-uniform-profile": (lambda: LVQModel("glvq", PrototypeSet(np.eye(2), [0, 1]),
+                                                      RelevanceProfile([1.0, 0.0])), "uniform"),
     }
 
     @pytest.mark.parametrize("case", list(IN_MEMORY))
@@ -771,6 +802,20 @@ class TestModelValidation:
     def test_valid_model_json_loads(self, kind):
         d = self.model_dict(kind)
         assert LVQModel.from_json_dict(d).to_json_dict() == d
+
+    def test_each_kind_predicts_the_same_after_a_file_round_trip(self):
+        # with profile [1, 0] a glvq model would predict [1, 0] on these rows,
+        # and [0, 1] once saved, as its file implies the uniform profile
+        protos = PrototypeSet([[0.0, 0.0], [1.0, 2.0]], [0, 1])
+        assert predict(LVQModel("glvq", protos), np.array([[0.9, 0.0], [0.2, 2.0]])).tolist() == [0, 1]
+        with pytest.raises(ValueError, match="uniform"):
+            LVQModel("glvq", protos, RelevanceProfile([1.0, 0.0]))
+        rng = np.random.default_rng(107)
+        for kind in KINDS:
+            model = random_model(rng, kind)
+            X = rng.normal(size=(50, 5))
+            loaded = LVQModel.from_json_dict(json.loads(json.dumps(model.to_json_dict())))
+            assert np.array_equal(predict(loaded, X), predict(model, X))
 
 
 class TestConfusion:
