@@ -321,10 +321,13 @@ def synth_sparse(
 
     # in place in one array, bit for bit base * means[labels] + sigma * noise (IEEE * and + commute)
     x = rng.standard_normal((classes, per_class, n_dims))
-    with np.errstate(over="ignore", invalid="ignore"):  # LabeledDataset refuses what overflowed
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
         x *= noise_sigma
         x += base * means[:, np.newaxis]
-    try:
-        return LabeledDataset(x.reshape(-1, n_dims), np.repeat(np.arange(classes), per_class))
-    except NonFiniteValue as exc:
-        raise DatasetError(f"noise_sigma {noise_sigma} makes the features overflow") from exc
+    # a cell whose square overflows makes the distances inf or NaN; min and max
+    # take no (N, n) temporary, and a NaN fails the comparison
+    limit = math.sqrt(np.finfo(float).max)
+    if not max(-x.min(), x.max()) <= limit:
+        raise DatasetError(f"noise_sigma {noise_sigma} makes the features overflow: "
+                           f"distances need |x| <= {limit:.3g}")
+    return LabeledDataset(x.reshape(-1, n_dims), np.repeat(np.arange(classes), per_class))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -274,7 +275,9 @@ def _score_blocks(model: LVQModel, X):
     blocks): each column's first prototype, in index order; each
     prototype's column; and an iterator of (row slice, centred rows,
     scores) over X that reuses its buffers. ValueError unless X is a 2-D
-    array as wide as the model, and at the first row whose score is not finite.
+    array as wide as the model, and at the first row whose score is not finite;
+    callers silence numpy's overflow and invalid warnings once around their
+    loop over the blocks, so such a row gives that error alone.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -318,18 +321,28 @@ def distance_matrix(model: LVQModel, X: np.ndarray) -> np.ndarray:
 
     Per block of `_score_blocks`, each prototype's score column plus |P x|^2,
     clamped at zero, so the memory used beyond X and the result is one
-    (DIST_BLOCK_ROWS, n) block. Entries agree with `LVQModel.dist` up to
-    rounding. Coinciding prototypes get equal columns, so an argmin gives
-    their rows to the lower index, as in `predict`. N = 0 gives an empty
-    (0, M) result; X must be 2-D. The epoch metrics read it.
+    (DIST_BLOCK_ROWS, n) block. |P x|^2 leaves out the dimensions where P's
+    column is zero, however large their cells, as the scores do; ValueError
+    names the first row whose distances are still not finite. Entries agree
+    with `LVQModel.dist` up to rounding. Coinciding prototypes get equal
+    columns, so an argmin gives their rows to the lower index, as in
+    `predict`. N = 0 gives an empty (0, M) result; X must be 2-D. The epoch
+    metrics read it.
     """
     _, column, blocks = _score_blocks(model, X)
+    # the profile's dists square a cell before weighting it: inf * 0 is NaN
+    unused = np.flatnonzero(~np.atleast_2d(model.metric.params).any(axis=0))
     out = np.empty((len(X), column.size))
-    for rows, C, scores in blocks:
-        block = out[rows]
-        np.take(scores, column, axis=1, out=block)
-        block += model.metric.dists(C)[:, np.newaxis]
-        np.maximum(block, 0.0, out=block)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite row raises instead
+        for rows, C, scores in blocks:
+            C[:, unused] = 0.0
+            block = out[rows]
+            np.take(scores, column, axis=1, out=block)
+            block += model.metric.dists(C)[:, np.newaxis]
+            if not np.isfinite(block).all():
+                raise ValueError(f"row {rows.start + np.isfinite(block).all(1).argmin()} "
+                                 f"gives a non-finite distance")
+            np.maximum(block, 0.0, out=block)
     return out
 
 
@@ -344,8 +357,9 @@ def predict(model: LVQModel, X: np.ndarray) -> np.ndarray:
     """
     first, _, blocks = _score_blocks(model, X)
     idx = np.empty(len(X), dtype=np.intp)
-    for rows, _, scores in blocks:
-        np.argmin(scores, axis=1, out=idx[rows])
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite score raises instead
+        for rows, _, scores in blocks:
+            np.argmin(scores, axis=1, out=idx[rows])
     return model.protos.labels[first][idx]
 
 
@@ -423,7 +437,10 @@ def train_epoch(
         ip, im, d_plus, d_minus = winners_from_distances(dists, *table[labels[idx]])
         if d_plus + d_minus == 0.0:
             continue
-        xp, xm = xi_factors(d_plus, d_minus, f)
+        try:
+            xp, xm = xi_factors(d_plus, d_minus, f)
+        except OverflowError:  # Python's float ** raises where numpy gives inf
+            xp = xm = math.nan  # the finiteness check below reports the step
         met = model.metric
 
         # all gradients taken at the pre-step state: D is not written below

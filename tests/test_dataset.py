@@ -526,10 +526,11 @@ class TestSynthSparse:
         with pytest.raises(DatasetError, match="got 2, 5, 0"):
             synth_sparse(5, 2, 2, 0)
 
-    @pytest.mark.parametrize("sigma", [-1.0, float("nan"), float("inf"), 1e308])
+    @pytest.mark.parametrize("sigma", [-1.0, float("nan"), float("inf"), 1e307, 1e308])
     def test_noise_sigma_must_be_finite_and_nonnegative(self, sigma):
-        # 1e308 is in range, but the features it scales are not finite
-        message = (f"noise_sigma {sigma} makes the features overflow" if sigma == 1e308
+        # 1e308 is in range, but the features it scales are not finite;
+        # with 1e307 they are, but not their squares
+        message = (f"noise_sigma {sigma} makes the features overflow" if sigma in (1e307, 1e308)
                    else f"noise_sigma must be finite and >= 0, got {sigma}")
         with warnings.catch_warnings():
             warnings.simplefilter("error")

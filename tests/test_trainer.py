@@ -1,9 +1,12 @@
 import json
 import tracemalloc
+import warnings
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sparselvq.dataset import LabeledDataset, SplitSpec, split, synth_sparse
 from sparselvq.glvq import (
@@ -234,11 +237,11 @@ class TestDistanceMatrix:
         assert distance_matrix(model, np.zeros((0, 5))).shape == (0, model.protos.n_protos)
         assert predict(model, np.zeros((0, 5))).shape == (0,)
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul")
     @pytest.mark.parametrize("kind", KINDS)
     def test_non_finite_row_is_refused_by_its_index(self, kind):
         # a NaN no-data pixel, then an inf in a dimension of zero relevance
-        # for grlvq and gmlvq (inf * 0 is NaN), both in the second block
+        # for grlvq and gmlvq (inf * 0 is NaN), both in the second block;
+        # one error each, and no numpy warning before it
         model = random_model(np.random.default_rng(101), kind)
         if kind != "glvq":
             params = model.metric.params.copy()
@@ -248,12 +251,55 @@ class TestDistanceMatrix:
         first = DIST_BLOCK_ROWS + 3
         X[first, 1] = np.nan
         X[first + 5, -1] = np.inf
-        for bad in (first, first + 5):
-            for fn in (predict, distance_matrix):
-                with pytest.raises(ValueError, match=f"row {bad} gives a non-finite score"):
-                    fn(model, X)
-            X[bad] = 0.0
-        assert distance_matrix(model, X).shape == (len(X), model.protos.n_protos)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bad in (first, first + 5):
+                for fn in (predict, distance_matrix):
+                    with pytest.raises(ValueError, match=f"row {bad} gives a non-finite score"):
+                        fn(model, X)
+                X[bad] = 0.0
+            assert distance_matrix(model, X).shape == (len(X), model.protos.n_protos)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_row_whose_distance_overflows_is_refused_by_its_index(self, kind):
+        # 1e200 gives a finite score, but its square overflows |P x|^2
+        model = random_model(np.random.default_rng(107), kind)
+        X = np.random.default_rng(109).normal(size=(2 * DIST_BLOCK_ROWS, 5))
+        X[DIST_BLOCK_ROWS + 7, 2] = 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert predict(model, X).shape == (len(X),)
+            with pytest.raises(ValueError, match=f"row {DIST_BLOCK_ROWS + 7} gives a "
+                                                 f"non-finite distance"):
+                distance_matrix(model, X)
+
+    @settings(max_examples=60)
+    @given(kind=st.sampled_from(KINDS), seed=st.integers(0, 2**32 - 1))
+    def test_evaluate_agrees_with_predict_however_large_the_unused_cells(self, kind, seed):
+        # cells up to 1e200 only where the profile or Omega's column is zero
+        # (glvq has none), O(1) cells elsewhere, no row near a tie
+        rng = np.random.default_rng(seed)
+        n, n_classes = int(rng.integers(2, 7)), int(rng.integers(2, 4))
+        model = random_model(rng, kind, n=n, n_classes=n_classes,
+                             protos_per_class=int(rng.integers(1, 3)),
+                             m=int(rng.integers(1, n + 1)))
+        unused = []
+        if kind != "glvq":
+            unused = rng.permutation(n)[:rng.integers(1, n)]
+            params = model.metric.params.copy()
+            params[..., unused] = 0.0
+            model = LVQModel(kind, model.protos, type(model.metric)(params))
+        X = rng.normal(size=(int(rng.integers(1, 30)), n))
+        X[:, unused] = (rng.choice([-1.0, 1.0], size=(len(X), len(unused)))
+                        * 10.0 ** rng.uniform(0, 200, size=(len(X), len(unused))))
+        P = model.metric.omega if kind == "gmlvq" else np.diag(model.metric.lam)
+        ref = np.sort(np.sum(((X[:, np.newaxis] - model.protos.vectors) @ P.T) ** 2, axis=2))
+        assume(np.all(ref[:, 1] - ref[:, 0] > 1e-6 * (1.0 + ref[:, 1])))
+        data = LabeledDataset(X, rng.integers(0, n_classes, size=len(X)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(distance_matrix(model, X)).all()
+            assert evaluate(model, data) == evaluate(model, data, predict(model, X))
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_predict_memory_is_bounded(self, kind):
