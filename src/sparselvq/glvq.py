@@ -7,6 +7,7 @@ lives in `trainer`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -99,10 +100,16 @@ def class_index_table(proto_labels, labels) -> dict[int, tuple[np.ndarray, np.nd
 
 def winners_from_distances(dists, same_idx, other_idx) -> WinnerPair:
     """Best same-class and best other-class prototype, searched over one
-    `class_index_table` entry; ties break toward the lowest index."""
-    ip = int(same_idx[dists[same_idx].argmin()])
-    im = int(other_idx[dists[other_idx].argmin()])
-    return WinnerPair(ip, im, float(dists[ip]), float(dists[im]))
+    `class_index_table` entry (the step passes it as two lists); ties break
+    toward the lowest index. A NaN distance wins its group, as under argmin,
+    so the step that meets it fails instead of training on a finite winner."""
+    d = dists.tolist()
+    key = d.__getitem__
+    if math.isnan(sum(d)):  # min passes over a NaN: rank the first one lowest
+        key = lambda k: (d[k] == d[k], d[k])  # noqa: E731
+    ip = min(same_idx, key=key)
+    im = min(other_idx, key=key)
+    return WinnerPair(ip, im, d[ip], d[im])
 
 
 def classifier_mu(d_plus, d_minus):

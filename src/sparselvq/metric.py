@@ -60,9 +60,9 @@ class RelevanceProfile:
         return float(self.dists(_delta(v, w, self)[np.newaxis])[0])
 
     def winner_grads(self, D2: np.ndarray, xi) -> tuple[np.ndarray, np.ndarray | None]:
-        """d dist / d w for each row of the difference block D2 (the step
-        passes the two winners' rows), and sum_k xi[k] * d dist(D2[k]) / d lam,
-        or None for xi None."""
+        """d dist / d w for each row of the difference block D2, and for
+        the step's two winner rows xi[0] * d dist(D2[0]) / d lam +
+        xi[1] * d dist(D2[1]) / d lam, or None for xi None."""
         G = grad_proto_lambda(D2, self)
         return G, None if xi is None else grad_lambda(D2, xi, self)
 
@@ -115,9 +115,10 @@ class OmegaMatrix:
         return float(self.dists(_delta(v, w, self)[np.newaxis])[0])
 
     def winner_grads(self, D2: np.ndarray, xi) -> tuple[np.ndarray, np.ndarray | None]:
-        """d dist / d w for each row of the difference block D2 (the step
-        passes the two winners' rows), and sum_k xi[k] * d dist(D2[k]) / d O,
-        or None for xi None. Both read one projection P2 = D2 O^T."""
+        """d dist / d w for each row of the difference block D2, and for
+        the step's two winner rows xi[0] * d dist(D2[0]) / d O +
+        xi[1] * d dist(D2[1]) / d O, or None for xi None. Both read one
+        projection P2 = D2 O^T."""
         P2 = D2 @ self.omega.T
         G = grad_proto_omega(P2, self)
         return G, None if xi is None else grad_omega(P2, D2, xi)
@@ -152,22 +153,22 @@ def grad_proto_lambda(D: np.ndarray, rel: RelevanceProfile) -> np.ndarray:
 
 def grad_proto_omega(P: np.ndarray, om: OmegaMatrix) -> np.ndarray:
     """d dist / d w for each row of D, from its projection P = D O^T:
-    -2 * O^T O delta per row, i.e. -2 * P O."""
-    return -2.0 * (P @ om.omega)
+    -2 * O^T O delta per row, i.e. -2 * P O, scaled on the small factor P."""
+    return (-2.0 * P) @ om.omega
 
 
 def grad_lambda(D: np.ndarray, xi, rel: RelevanceProfile) -> np.ndarray:
-    """sum_k xi[k] * d dist / d lam at the rows delta of the 2-D block D, where
-    d dist / d lam_j = 2 * lam_j * delta_j^2; for two rows, bit for bit
-    xi[0] * g(D[0]) + xi[1] * g(D[1])."""
-    return (np.asarray(xi)[:, np.newaxis] * (2.0 * rel.lam * D**2)).sum(axis=0)
+    """xi[0] * g(D[0]) + xi[1] * g(D[1]) at the two rows delta of D, where
+    g_j = d dist / d lam_j = 2 * lam_j * delta_j^2."""
+    r = 2.0 * rel.lam * D**2
+    return xi[0] * r[0] + xi[1] * r[1]
 
 
 def grad_omega(P: np.ndarray, D: np.ndarray, xi) -> np.ndarray:
-    """sum_k xi[k] * d dist / d O at the rows delta of the 2-D block D, from
-    P = D O^T: d dist / d O_rc = 2 * [O delta]_r * delta_c, so the sum is
-    2 * (xi P)^T D: for the step's two rows, one rank-2 product."""
-    return 2.0 * ((np.asarray(xi)[:, np.newaxis] * P).T @ D)
+    """xi[0] * g(D[0]) + xi[1] * g(D[1]) at the two rows delta of D, from
+    P = D O^T: g_rc = d dist / d O_rc = 2 * [O delta]_r * delta_c, so the sum
+    is (2 xi P)^T D, one rank-2 product scaled on its small (2, m) factor."""
+    return (P.T * (2.0 * xi[0], 2.0 * xi[1])) @ D
 
 
 def normalize_lambda(rel: RelevanceProfile) -> RelevanceProfile:
@@ -191,7 +192,7 @@ def normalize_omega(om: OmegaMatrix) -> OmegaMatrix:
 def clamp_lambda(rel: RelevanceProfile) -> RelevanceProfile:
     """Zero out negative components (applied before normalize_lambda)."""
     clamped = np.maximum(rel.lam, 0.0)
-    if not (clamped > 0.0).any():
+    if not clamped.max() > 0.0:
         raise ValueError("clamping zeroed the whole relevance profile")
     return RelevanceProfile(clamped)
 

@@ -400,6 +400,12 @@ def reg_term_of(model: LVQModel, alpha: float) -> float:
     return model.metric.penalty(alpha)
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """No NaN or inf in a: a finite sum clears every entry without a mask,
+    and a sum that finite entries overflowed falls back to the scan."""
+    return math.isfinite(a.sum()) or bool(np.isfinite(a).all())
+
+
 def train_epoch(
     model: LVQModel,
     train_data: LabeledDataset,
@@ -423,7 +429,8 @@ def train_epoch(
     for data in (train_data, train_data if test_data is None else test_data):
         if data.n_features != model.n_features:
             raise ValueError(f"model has {model.n_features} features, data has {data.n_features}")
-    table = class_index_table(model.protos.labels, y)
+    table = {c: (same.tolist(), other.tolist())  # lists: the winner search reads them per step
+             for c, (same, other) in class_index_table(model.protos.labels, y).items()}
     decay = 1.0 / (1.0 + config.rate_decay * t)
     rate_p = config.rate_proto * decay
     rate_m = 0.0 if model.kind == "glvq" else config.rate_metric * decay  # frozen profile
@@ -450,13 +457,14 @@ def train_epoch(
 
         W[ip] -= rate_p * xp * G[0]
         W[im] -= rate_p * xm * G[1]
-        ok = np.isfinite(W).all()
+        ok = _all_finite(W)
 
         if ok and rate_m:
-            params = met.params - rate_m * g_metric
-            ok = np.isfinite(params).all()
+            g_metric *= -rate_m  # in place on the step's own array: params - rate_m * g
+            g_metric += met.params
+            ok = _all_finite(g_metric)
             if ok:
-                model.metric = met.stepped(params)
+                model.metric = met.stepped(g_metric)
         if not ok:
             raise NonFiniteUpdate(
                 t * train_data.n_samples + step,

@@ -137,12 +137,14 @@ def test_gradient_oracle_suite():
             assert_grad_close(analytic, fd, rtol=1e-4, label="prototype")
             checked += 1
 
+    # the metric gradients take the step's two-row winner block: the second
+    # row, at zero difference, adds exact zeros
     for _ in range(100):  # profile-weighted metric, both gradient routes
         n = int(rng.integers(2, 8))
         v, w = rng.normal(size=n), rng.normal(size=n)
         lam = rng.uniform(0.05, 1.5, size=n)
         rel = RelevanceProfile(lam)
-        G, g = rel.winner_grads((v - w)[np.newaxis], [1.0])
+        G, g = rel.winner_grads(np.stack([v - w, 0 * v]), (1.0, 1.0))
         fd = central_diff(lambda l: RelevanceProfile(l).dist(v, w), lam, h)
         assert_grad_close(g, fd, rtol=1e-4, label="lambda")
         fd = central_diff(lambda ww: rel.dist(v, ww), w, h)
@@ -153,7 +155,7 @@ def test_gradient_oracle_suite():
         m = int(rng.integers(1, n + 1))
         v, w = rng.normal(size=n), rng.normal(size=n)
         om = OmegaMatrix(rng.normal(size=(m, n)))
-        G, g = om.winner_grads((v - w)[np.newaxis], [1.0])
+        G, g = om.winner_grads(np.stack([v - w, 0 * v]), (1.0, 1.0))
         fd = central_diff_matrix(lambda o: OmegaMatrix(o).dist(v, w), om.omega, h)
         assert_grad_close(g, fd, rtol=1e-4, label="omega")
         fd = central_diff(lambda ww: om.dist(v, ww), w, h)

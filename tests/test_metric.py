@@ -18,8 +18,9 @@ from fdcheck import assert_grad_close, central_diff, central_diff_matrix
 
 
 def row_grad(met, delta):
-    """d dist / d params at one difference row, through the block gradient."""
-    return met.winner_grads(delta[np.newaxis], [1.0])[1]
+    """d dist / d params at one difference row, through the two-row block
+    gradient: the second row, at zero difference, adds exact zeros."""
+    return met.winner_grads(np.stack([delta, 0 * delta]), (1.0, 1.0))[1]
 
 
 def random_instance(rng, n=6, m=None):

@@ -462,6 +462,47 @@ class TestTrainEpoch:
             train(model, data, cfg, rng=rng)
         assert exc.value.step >= 0
 
+    def test_nan_distance_aborts_rather_than_picking_a_finite_winner(self):
+        # lam_1^2 underflows to 0 and the row's cell squares to inf: inf * 0 is a
+        # NaN distance to prototype 1, the later one of class 0, while prototype 0
+        # is at distance 0; argmin picks the NaN, and so must the step
+        W = np.array([[0.0, 1e200], [0.0, 0.0], [1.0, 1e200]])
+        model = LVQModel("grlvq", PrototypeSet(W, np.array([0, 0, 1])),
+                         RelevanceProfile([1.0, 1e-200]))
+        data = LabeledDataset(np.array([[0.0, 1e200]]), np.array([0]))
+        with np.errstate(all="ignore"):
+            assert np.isnan(model.metric.dists(data.features[0] - W)).tolist() == [
+                False, True, False]
+            with pytest.raises(NonFiniteUpdate, match=r"d\+ nan"):
+                train_epoch(model, data, TrainConfig(), 0.0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_tied_winners_move_the_lowest_index_prototype(self, kind):
+        rng = np.random.default_rng(47)
+        model = random_model(rng, kind, n_classes=2)  # prototypes 0, 1 of class 0; 2, 3 of 1
+        W = model.protos.vectors
+        W[1], W[3] = W[0], W[2]
+        before = W.copy()
+        data = LabeledDataset(rng.normal(size=(1, 5)), np.array([0]))
+        train_epoch(model, data, TrainConfig(model_kind=kind, rate_proto=0.1), 0.0,
+                    np.random.default_rng(0))
+        moved = (W != before).any(axis=1)
+        assert moved.tolist() == [True, False, True, False]
+
+    @pytest.mark.parametrize("kind", ["grlvq", "gmlvq"])
+    def test_the_pre_step_metric_object_is_left_as_it_was(self, kind):
+        # the step writes into fresh arrays only: the metric object a caller
+        # holds from before the epoch keeps its parameters
+        data = small_data(seed=53, n_dims=5)
+        model = random_model(np.random.default_rng(53), kind, n_classes=2)
+        met = model.metric
+        before = met.params.copy()
+        train_epoch(model, data, TrainConfig(model_kind=kind, rate_metric=0.05), 0.5,
+                    np.random.default_rng(0))
+        assert model.metric is not met
+        assert not np.array_equal(model.metric.params, before)
+        assert np.array_equal(met.params, before)
+
     @pytest.mark.parametrize("proto_labels, y, message", [
         # class 2 has no prototype; its one sample comes last in the data
         ([0, 1, 0, 1], [0, 1] * 15 + [2], "no prototype carries class 2"),
