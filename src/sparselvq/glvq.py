@@ -128,10 +128,13 @@ def xi_factors(d_plus: float, d_minus: float, f: TransferFn) -> tuple[float, flo
     d_plus = d_minus = 0, where they are undefined.
 
     xi_plus = f'(mu) * 2*d_minus / (d_plus + d_minus)^2 >= 0,
-    xi_minus = -f'(mu) * 2*d_plus / (d_plus + d_minus)^2 <= 0.
+    xi_minus = -f'(mu) * 2*d_plus / (d_plus + d_minus)^2 <= 0,
+    taken as common * (d_minus / total) with common = 2 f'(mu) / total, so
+    that no square of the total overflows (or underflows to zero).
     """
-    common = 2.0 * float(f.deriv(classifier_mu(d_plus, d_minus))) / (d_plus + d_minus)**2
-    return common * d_minus, -common * d_plus
+    total = d_plus + d_minus
+    common = 2.0 * float(f.deriv(classifier_mu(d_plus, d_minus))) / total
+    return common * (d_minus / total), -common * (d_plus / total)
 
 
 INIT_JITTER = 0.01  # prototype start noise, as a fraction of each dimension's std

@@ -444,10 +444,7 @@ def train_epoch(
         ip, im, d_plus, d_minus = winners_from_distances(dists, *table[labels[idx]])
         if d_plus + d_minus == 0.0:
             continue
-        try:
-            xp, xm = xi_factors(d_plus, d_minus, f)
-        except OverflowError:  # Python's float ** raises where numpy gives inf
-            xp = xm = math.nan  # the finiteness check below reports the step
+        xp, xm = xi_factors(d_plus, d_minus, f)
         met = model.metric
 
         # all gradients taken at the pre-step state: D is not written below

@@ -220,16 +220,16 @@ def test_replaying_a_run_manifest_reproduces_its_metrics_byte_for_byte(work):
                 == (work / f"{run}-replay" / "metrics.jsonl").read_bytes()), run
 
 
-# Python's float ** raises OverflowError where numpy gives inf: (d+ + d-)**2
-# overflows from a noise scale of about 1e77 on
+# (d+ + d-)**2 overflows from a noise scale of about 1e77 on; the step's
+# chain-rule factors never square the distance sum
 @pytest.mark.parametrize("sigma", ["1e78", "1e100", "1e150"])
-def test_training_whose_step_overflows_exits_1_with_one_error_line(work, sigma):
+def test_training_whose_distance_sum_squared_overflows_exits_0_with_a_finite_model(work, sigma):
     data = f"scale{sigma}.csv"
     assert sparselvq_cli(work, *SYNTH, "--noise-sigma", sigma, "--out", data).returncode == 0
-    res = sparselvq_cli(work, "train", "--data", data, "--model", "grlvq", "--epochs", 2,
-                        "--out", f"scale{sigma}")
-    assert res.returncode == 1
-    errors = [line for line in res.stderr.splitlines() if not line.startswith("INFO ")]
-    assert len(errors) == 1, res.stderr
-    assert re.fullmatch(r"error: non-finite update at sample step \d+: epoch 0, sample \d+, "
-                        r".*, d\+ \S+, d- \S+", errors[0]), errors
+    for kind in ("grlvq", "gmlvq"):
+        res = sparselvq_cli(work, "train", "--data", data, "--model", kind, "--epochs", 2,
+                            "--out", f"scale{sigma}-{kind}")
+        assert res.returncode == 0, res.stderr
+        assert "Warning" not in res.stderr, res.stderr
+        model = load_model(work / f"scale{sigma}-{kind}" / "model.json")  # refuses non-finite
+        assert model.kind == kind

@@ -178,6 +178,12 @@ class TestXiFactors:
         assert xp == pytest.approx(0.5)
         assert xm == pytest.approx(-0.5)
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e200])
+    def test_distances_whose_sum_squared_leaves_the_float_range(self, scale):
+        # (d+ + d-)**2 underflows to 0 or overflows; at d+ = d- = s, xi = ±1 / (2s)
+        xp, xm = xi_factors(scale, scale, IDENTITY)
+        assert xp == pytest.approx(0.5 / scale) and xm == pytest.approx(-0.5 / scale)
+
     def test_zero_d_plus_kills_xi_minus(self):
         xp, xm = xi_factors(0.0, 2.0, IDENTITY)
         assert xm == 0.0

@@ -405,8 +405,8 @@ class TestTrainEpoch:
             dp, dm = float(dists[ip]), float(dists[im])
             if dp + dm == 0.0:
                 continue
-            common = 2.0 * 1.0 / (dp + dm) ** 2  # f'(mu) = 1 for the identity transfer
-            xp, xm = common * dm, -common * dp
+            common = 2.0 * 1.0 / (dp + dm)  # f'(mu) = 1 for the identity transfer
+            xp, xm = common * (dm / (dp + dm)), -common * (dp / (dp + dm))
             if O is None:
                 gp, gm = -2.0 * lam**2 * D[ip], -2.0 * lam**2 * D[im]
                 g = xp * (2.0 * lam * D[ip] ** 2) + xm * (2.0 * lam * D[im] ** 2)
