@@ -59,6 +59,12 @@ class RelevanceProfile:
     def dist(self, v, w) -> float:
         return float(self.dists(_delta(v, w, self)[np.newaxis])[0])
 
+    def unused_dims(self) -> np.ndarray:
+        """Dimensions `dists` gives no weight: lam_i * lam_i is 0, also where
+        it underflows. `dists` squares a cell before weighting it, so such a
+        cell of 1e200 gives inf * 0, a NaN."""
+        return np.flatnonzero(self.lam * self.lam == 0.0)
+
     def winner_grads(self, D2: np.ndarray, xi) -> tuple[np.ndarray, np.ndarray | None]:
         """d dist / d w for each row of the difference block D2, and for
         the step's two winner rows xi[0] * d dist(D2[0]) / d lam +
@@ -113,6 +119,11 @@ class OmegaMatrix:
 
     def dist(self, v, w) -> float:
         return float(self.dists(_delta(v, w, self)[np.newaxis])[0])
+
+    def unused_dims(self) -> np.ndarray:
+        """Dimensions `dists` gives no weight: Omega's all-zero columns. It
+        projects a cell before squaring, so a tiny nonzero column still counts."""
+        return np.flatnonzero(~self.omega.any(axis=0))
 
     def winner_grads(self, D2: np.ndarray, xi) -> tuple[np.ndarray, np.ndarray | None]:
         """d dist / d w for each row of the difference block D2, and for

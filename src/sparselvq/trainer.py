@@ -321,8 +321,8 @@ def distance_matrix(model: LVQModel, X: np.ndarray) -> np.ndarray:
 
     Per block of `_score_blocks`, each prototype's score column plus |P x|^2,
     clamped at zero, so the memory used beyond X and the result is one
-    (DIST_BLOCK_ROWS, n) block. |P x|^2 leaves out the dimensions where P's
-    column is zero, however large their cells, as the scores do; ValueError
+    (DIST_BLOCK_ROWS, n) block. |P x|^2 leaves out the metric's
+    `unused_dims`, however large their cells, as the scores do; ValueError
     names the first row whose distances are still not finite. Entries agree
     with `LVQModel.dist` up to rounding. Coinciding prototypes get equal
     columns, so an argmin gives their rows to the lower index, as in
@@ -330,8 +330,7 @@ def distance_matrix(model: LVQModel, X: np.ndarray) -> np.ndarray:
     metrics read it.
     """
     _, column, blocks = _score_blocks(model, X)
-    # the profile's dists square a cell before weighting it: inf * 0 is NaN
-    unused = np.flatnonzero(~np.atleast_2d(model.metric.params).any(axis=0))
+    unused = model.metric.unused_dims()
     out = np.empty((len(X), column.size))
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite row raises instead
         for rows, C, scores in blocks:

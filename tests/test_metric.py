@@ -41,6 +41,13 @@ class TestDistances:
         rel = RelevanceProfile(np.array([1.0, 0.0]))
         assert rel.dist(np.array([0.0, 5.0]), np.array([0.0, 0.0])) == 0.0
 
+    def test_unused_dims_are_those_dists_gives_no_weight(self):
+        # a profile weight counts by its square, which underflows at 1e-200;
+        # Omega projects before squaring, so only an all-zero column is unused
+        assert RelevanceProfile(np.array([1.0, 1e-200, 0.0, -0.5])).unused_dims().tolist() == [1, 2]
+        om = OmegaMatrix(np.array([[1.0, 1e-200, 0.0], [0.0, 0.0, 0.0]]))
+        assert om.unused_dims().tolist() == [2]
+
     def test_d_lambda_matches_quadratic_form(self):
         rng = np.random.default_rng(0)
         for _ in range(50):

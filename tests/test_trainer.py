@@ -273,6 +273,20 @@ class TestDistanceMatrix:
                                                  f"non-finite distance"):
                 distance_matrix(model, X)
 
+    def test_a_weight_whose_square_underflows_leaves_its_dimension_out(self):
+        # lam_1 = 1e-200 squares to 0, so the profile's dists would weight the
+        # cell 1e200 as inf * 0; predict's scores leave dimension 1 out, and so
+        # must the distances
+        model = LVQModel("grlvq", PrototypeSet(np.array([[0.0, 0.0], [1.0, 0.0]]),
+                                               np.array([0, 1])),
+                         RelevanceProfile([1.0, 1e-200]))
+        X = np.array([[0.0, 1e200], [0.9, 0.0]])
+        data = LabeledDataset(X, np.array([0, 1]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_allclose(distance_matrix(model, X), [[0.0, 1.0], [0.81, 0.01]])
+            assert evaluate(model, data) == evaluate(model, data, predict(model, X)) == 1.0
+
     @settings(max_examples=60)
     @given(kind=st.sampled_from(KINDS), seed=st.integers(0, 2**32 - 1))
     def test_evaluate_agrees_with_predict_however_large_the_unused_cells(self, kind, seed):
