@@ -6,6 +6,8 @@ Each class owns its maths: distances (one pair, or one sample against
 many prototypes), the gradients, the smooth l1 penalty and the
 clamp/normalize step. The methods reach the module functions below and
 `l1smooth` by global lookup, so those stay the single implementation.
+Their products are `np.dot`: the BLAS call `@` makes, with less dispatch
+per SGD step.
 `winner_grads` takes the two winners' difference rows `v - w` unchecked
 (the training step holds them) and returns both prototype gradients and
 the xi-weighted data gradient of the metric parameters in one call;
@@ -54,7 +56,7 @@ class RelevanceProfile:
 
     def dists(self, diff: np.ndarray) -> np.ndarray:
         """sum(lam_i^2 * diff_i^2) for each row of an (M, n) difference array."""
-        return diff**2 @ self.lam**2
+        return np.dot(diff**2, self.lam**2)
 
     def dist(self, v, w) -> float:
         return float(self.dists(_delta(v, w, self)[np.newaxis])[0])
@@ -114,7 +116,7 @@ class OmegaMatrix:
 
     def dists(self, diff: np.ndarray) -> np.ndarray:
         """||O diff||^2 for each row of an (M, n) difference array."""
-        p = diff @ self.omega.T  # (M, m)
+        p = np.dot(diff, self.omega.T)  # (M, m)
         return np.einsum("ij,ij->i", p, p)
 
     def dist(self, v, w) -> float:
@@ -130,7 +132,7 @@ class OmegaMatrix:
         the step's two winner rows xi[0] * d dist(D2[0]) / d O +
         xi[1] * d dist(D2[1]) / d O, or None for xi None. Both read one
         projection P2 = D2 O^T."""
-        P2 = D2 @ self.omega.T
+        P2 = np.dot(D2, self.omega.T)
         G = grad_proto_omega(P2, self)
         return G, None if xi is None else grad_omega(P2, D2, xi)
 
@@ -165,7 +167,7 @@ def grad_proto_lambda(D: np.ndarray, rel: RelevanceProfile) -> np.ndarray:
 def grad_proto_omega(P: np.ndarray, om: OmegaMatrix) -> np.ndarray:
     """d dist / d w for each row of D, from its projection P = D O^T:
     -2 * O^T O delta per row, i.e. -2 * P O, scaled on the small factor P."""
-    return (-2.0 * P) @ om.omega
+    return np.dot(-2.0 * P, om.omega)
 
 
 def grad_lambda(D: np.ndarray, xi, rel: RelevanceProfile) -> np.ndarray:
@@ -179,7 +181,7 @@ def grad_omega(P: np.ndarray, D: np.ndarray, xi) -> np.ndarray:
     """xi[0] * g(D[0]) + xi[1] * g(D[1]) at the two rows delta of D, from
     P = D O^T: g_rc = d dist / d O_rc = 2 * [O delta]_r * delta_c, so the sum
     is (2 xi P)^T D, one rank-2 product scaled on its small (2, m) factor."""
-    return (P.T * (2.0 * xi[0], 2.0 * xi[1])) @ D
+    return np.dot(P.T * (2.0 * xi[0], 2.0 * xi[1]), D)
 
 
 def normalize_lambda(rel: RelevanceProfile) -> RelevanceProfile:

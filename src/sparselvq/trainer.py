@@ -451,8 +451,9 @@ def train_epoch(
         if rate_m and reg_weight:
             g_metric += reg_weight * met.penalty_grad(alpha)
 
-        W[ip] -= rate_p * xp * G[0]
-        W[im] -= rate_p * xm * G[1]
+        wp, wm = W[ip], W[im]  # views: -= on W[ip] would copy the row back into W
+        wp -= rate_p * xp * G[0]
+        wm -= rate_p * xm * G[1]
         ok = _all_finite(W)
 
         if ok and rate_m:
