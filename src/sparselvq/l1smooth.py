@@ -14,6 +14,11 @@ column-by-column loop because perfbench pins its count of abs_smooth
 calls per penalty step (one per column). Its merges each take one pair of
 floats, so abs_smooth evaluates a Python float with the math module:
 numpy's per-call dispatch on one scalar costs more than the arithmetic.
+Each public function checks alpha once per call: the fold hands its
+merges the checked Python float, which abs_smooth takes without a second
+check. The array kernels (abs_smooth on an array, the matrix gradient)
+build their result in one buffer, in the order of the plain expression,
+so they match it bit for bit.
 
 For a|x| well below 2 the surrogate is close to the quadratic
 2*log(2)/a + a*x**2/4, so on small parameters it acts like a ridge term:
@@ -58,14 +63,25 @@ def abs_smooth(x, alpha: float = DEFAULT_ALPHA):
 
     A Python float (the fold's one merge per column) takes the math
     module and returns a float: numpy's dispatch on one scalar costs more
-    than the arithmetic. Arrays and numpy scalars keep numpy's types.
+    than the arithmetic. Arrays and numpy scalars keep numpy's types; an
+    array's result is built in one buffer, in the order of the expression
+    above. An alpha that is already a Python float in (0, inf), as the
+    fold passes it, skips the check.
     """
-    alpha = _check_alpha(alpha)
+    if type(alpha) is not float or not 0.0 < alpha < math.inf:
+        alpha = _check_alpha(alpha)
     if type(x) is float:
         ax = abs(x)
         return ax + (2.0 / alpha) * math.log1p(math.exp(-alpha * ax))
     ax = np.abs(x)
-    return ax + (2.0 / alpha) * np.log1p(np.exp(-alpha * ax))
+    if type(ax) is not np.ndarray:  # a numpy scalar or a 0-d input
+        return ax + (2.0 / alpha) * np.log1p(np.exp(-alpha * ax))
+    out = np.multiply(ax, -alpha)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    out *= 2.0 / alpha
+    out += ax
+    return out
 
 
 def abs_smooth_grad(x, alpha: float = DEFAULT_ALPHA):
@@ -91,11 +107,12 @@ def _fold(omega, alpha: float):
     where numpy's dispatch would cost more than the maths."""
     alpha = _check_alpha(alpha)
     om = np.asarray(omega, dtype=float)
-    if om.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {om.shape}")
+    if om.ndim != 2 or om.shape[1] == 0:
+        raise ValueError(f"expected a 2-D matrix with a column, got shape {om.shape}")
     sums = np.sum(abs_smooth(om, alpha), axis=0)
-    value, *rest = sums.tolist()
-    for s in rest:
+    columns = iter(sums.tolist())
+    value = next(columns)
+    for s in columns:
         value = 0.5 * (value + s + abs_smooth(value - s, alpha))
     return alpha, om, sums, value
 
@@ -117,10 +134,17 @@ def matrix_l1_smooth_grad(omega, alpha: float = DEFAULT_ALPHA) -> np.ndarray:
 
     The fold's value is ``logsumexp(alpha * sums) / alpha``, so the softmax
     is ``exp(alpha * (sums - value))``. The value is at least the largest
-    sum, so the exponent cannot overflow at any alpha.
+    sum, so the exponent cannot overflow at any alpha. The tanh is formed
+    in one (m, n) buffer, which the softmax row then scales in place.
     """
     alpha, om, sums, value = _fold(omega, alpha)
-    return np.exp(alpha * (sums - value))[np.newaxis, :] * np.tanh(0.5 * alpha * om)
+    soft = sums - value
+    soft *= alpha
+    np.exp(soft, out=soft)
+    grad = np.multiply(om, 0.5 * alpha)
+    np.tanh(grad, out=grad)
+    grad *= soft
+    return grad
 
 
 class SandwichBounds(NamedTuple):

@@ -449,7 +449,9 @@ def train_epoch(
         # all gradients taken at the pre-step state: D is not written below
         G, g_metric = met.winner_grads(D.take((ip, im), axis=0), (xp, xm) if rate_m else None)
         if rate_m and reg_weight:
-            g_metric += reg_weight * met.penalty_grad(alpha)
+            g_penalty = met.penalty_grad(alpha)  # a fresh array: scaled in place
+            g_penalty *= reg_weight
+            g_metric += g_penalty
 
         wp, wm = W[ip], W[im]  # views: -= on W[ip] would copy the row back into W
         wp -= rate_p * xp * G[0]

@@ -233,3 +233,17 @@ def test_training_whose_distance_sum_squared_overflows_exits_0_with_a_finite_mod
         assert "Warning" not in res.stderr, res.stderr
         model = load_model(work / f"scale{sigma}-{kind}" / "model.json")  # refuses non-finite
         assert model.kind == kind
+
+
+# from a scale of about 1e153 the prototype init's std squares past the
+# largest float; 1e152 trains (above)
+def test_training_whose_data_scale_overflows_the_init_exits_1_names_the_scale(work):
+    data = "scale1e153.csv"
+    assert sparselvq_cli(work, *SYNTH, "--noise-sigma", "1e153", "--out", data).returncode == 0
+    for kind in ("grlvq", "gmlvq"):
+        res = sparselvq_cli(work, "train", "--data", data, "--model", kind, "--epochs", 2,
+                            "--out", f"scale1e153-{kind}")
+        assert res.returncode == 1, res.stderr
+        assert "scale" in res.stderr and "Warning" not in res.stderr, res.stderr
+        assert len(res.stderr.strip().splitlines()) == 1, res.stderr
+        assert not (work / f"scale1e153-{kind}").exists()

@@ -359,3 +359,12 @@ class TestInitPrototypes:
         protos = init_prototypes(LabeledDataset(X, y), per_class=2, rng=rng)
         assert protos.n_protos == 6
         assert np.array_equal(protos.labels, [0, 0, 1, 1, 2, 2])
+
+    # 1e154: the std's squared deviations overflow; 1e308: class 1's sum does too
+    @pytest.mark.parametrize("scale", [1e154, 1e308])
+    @pytest.mark.filterwarnings("error")
+    def test_a_scale_whose_mean_or_std_overflows_is_refused_by_its_scale(self, scale):
+        X = np.array([[1.0, 0.0], [-1.0, 0.0], [1.0, 1.0], [-1.0, 1.0]]) * scale
+        with pytest.raises(ValueError, match=r"scale \(largest \|x\| .*e\+(154|308)\)"):
+            init_prototypes(LabeledDataset(X, np.array([0, 0, 1, 1])), 1,
+                            np.random.default_rng(0))

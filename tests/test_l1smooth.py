@@ -65,6 +65,65 @@ class TestAbsSmooth:
             abs_smooth(1.0, -3.0)
 
 
+class TestKernelBuffers:
+    """The array results are built in one buffer and the alpha is checked
+    once per call; neither changes a bit of the plain expressions."""
+
+    @staticmethod
+    def reference_abs(x, a):
+        ax = np.abs(x)
+        return ax + (2 / a) * np.log1p(np.exp(-a * ax))
+
+    @pytest.mark.parametrize("alpha", [0.5, 5.0, 50.0])
+    @pytest.mark.parametrize("shape", [(7,), (20, 200), (200, 200)])
+    def test_abs_smooth_is_bit_equal_to_the_expression(self, alpha, shape):
+        x = np.random.default_rng(shape[-1]).normal(scale=0.3, size=shape)
+        kept = x.copy()
+        got = abs_smooth(x, alpha)
+        assert np.array_equal(got, self.reference_abs(x, alpha))
+        assert np.array_equal(x, kept)
+
+    @pytest.mark.parametrize("alpha", [0.5, 5.0, 50.0])
+    @pytest.mark.parametrize("shape", [(20, 200), (200, 200)])
+    def test_matrix_grad_is_bit_equal_to_the_expression(self, alpha, shape):
+        om = np.random.default_rng(shape[0]).normal(scale=0.07, size=shape)
+        kept = om.copy()
+        sums = self.reference_abs(om, alpha).sum(axis=0)
+        v = matrix_l1_smooth(om, alpha)
+        expected = np.exp(alpha * (sums - v))[None, :] * np.tanh(0.5 * alpha * om)
+        assert np.array_equal(matrix_l1_smooth_grad(om, alpha), expected)
+        assert np.array_equal(om, kept)
+
+    @pytest.mark.parametrize("alpha", [0, 0.0, -1, -1.0, math.nan, math.inf,
+                                       np.float64(0), np.float64(-1), np.float64(math.nan),
+                                       np.float64(math.inf), np.array(math.nan)])
+    @pytest.mark.parametrize("x", [0.3, np.float64(0.3), np.array([0.3, -1.0])],
+                             ids=["float", "numpy-scalar", "array"])
+    def test_a_bad_alpha_raises_on_every_path(self, x, alpha):
+        with pytest.raises(ValueError, match="sharpness alpha"):
+            abs_smooth(x, alpha)
+        with pytest.raises(ValueError, match="sharpness alpha"):
+            matrix_l1_smooth_grad(np.atleast_2d(x), alpha)
+
+    @pytest.mark.parametrize("shape", [(2, 0), (4,), (2, 2, 2)])
+    def test_a_matrix_without_columns_or_of_another_rank_raises(self, shape):
+        for fn in (matrix_l1_smooth, matrix_l1_smooth_grad):
+            with pytest.raises(ValueError, match="expected a 2-D matrix"):
+                fn(np.zeros(shape), 5.0)
+
+    @pytest.mark.parametrize("x", [0.3, np.float64(0.3), np.array([0.3, -1.0]),
+                                   np.array([[0.3, -1.0], [0.0, 2.0]])],
+                             ids=["float", "numpy-scalar", "array", "matrix"])
+    def test_int_numpy_and_float_alphas_agree(self, x):
+        results = [abs_smooth(x, a) for a in (5, np.float64(5), 5.0)]
+        assert len({type(r) for r in results}) == 1
+        if type(x) is float:
+            assert type(results[0]) is float  # also for an int or numpy alpha
+        assert all(np.array_equal(r, results[0]) for r in results)
+        grads = [matrix_l1_smooth_grad(np.atleast_2d(x), a) for a in (5, np.float64(5), 5.0)]
+        assert all(np.array_equal(g, grads[0]) for g in grads)
+
+
 class TestAbsSmoothGrad:
     def test_zero(self):
         assert abs_smooth_grad(0.0, 5.0) == 0.0
