@@ -143,22 +143,25 @@ INIT_JITTER = 0.01  # prototype start noise, as a fraction of each dimension's s
 def init_prototypes(data: LabeledDataset, per_class: int, rng: np.random.Generator) -> PrototypeSet:
     """`per_class` prototypes per class, each at the class mean plus Gaussian
     jitter of INIT_JITTER times the per-dimension std, from one draw of
-    shape (classes * per_class, n) taken in prototype order.
+    shape (classes * per_class, n) taken in prototype order. The classes
+    are those `label_names` names, or 0 to the largest label without it;
+    one without samples, which a split can leave out, is refused by name.
 
     Finite cells whose means or std overflow (the std squares the
     deviations, from a scale of about 1e153) are refused by their scale."""
     X = data.features
+    names = data.label_names or [str(c) for c in range(data.n_classes)]
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         means = []
-        for c in range(data.n_classes):
+        for c, name in enumerate(names):
             rows = X[data.labels == c]
             if rows.shape[0] == 0:
-                raise ValueError(f"class {c} has no samples to initialize from")
+                raise ValueError(f"the training data has no samples of class {c} ({name!r})")
             means.append(rows.mean(axis=0))
         scale = INIT_JITTER * X.std(axis=0)
-        noise = rng.standard_normal((data.n_classes * per_class, data.n_features))
+        noise = rng.standard_normal((len(names) * per_class, data.n_features))
         vectors = np.repeat(means, per_class, axis=0) + scale * noise
     if not np.isfinite(vectors).all():
         raise ValueError(f"the features' scale (largest |x| {max(-X.min(), X.max()):.3g}) "
                          "overflows their per-dimension mean or std; rescale the data")
-    return PrototypeSet(vectors, np.repeat(np.arange(data.n_classes), per_class))
+    return PrototypeSet(vectors, np.repeat(np.arange(len(names)), per_class))

@@ -12,8 +12,9 @@ The gradient is softmax(a * sums)[c] * tanh(a*O/2), and the softmax is
 read off the fold's value as exp(a * (sums - v)). The fold stays a
 column-by-column loop because perfbench pins its count of abs_smooth
 calls per penalty step (one per column). Its merges each take one pair of
-floats, so abs_smooth evaluates a Python float with the math module:
-numpy's per-call dispatch on one scalar costs more than the arithmetic.
+floats, so abs_smooth evaluates a Python float with the math module's
+functions, bound at import: numpy's per-call dispatch on one scalar costs
+more than the arithmetic.
 Each public function checks alpha once per call: the fold hands its
 merges the checked Python float, which abs_smooth takes without a second
 check. The array kernels (abs_smooth on an array, the matrix gradient)
@@ -34,7 +35,7 @@ All functions are pure and operate on plain floats or numpy arrays.
 
 from __future__ import annotations
 
-import math
+from math import exp, inf, isfinite, log1p
 from typing import NamedTuple
 
 import numpy as np
@@ -48,7 +49,7 @@ _SANDWICH_RTOL = 1e-12
 
 def _check_alpha(alpha: float) -> float:
     alpha = float(alpha)
-    if not math.isfinite(alpha) or alpha <= 0.0:
+    if not isfinite(alpha) or alpha <= 0.0:
         raise ValueError(f"sharpness alpha must be positive and finite, got {alpha}")
     return alpha
 
@@ -68,11 +69,11 @@ def abs_smooth(x, alpha: float = DEFAULT_ALPHA):
     above. An alpha that is already a Python float in (0, inf), as the
     fold passes it, skips the check.
     """
-    if type(alpha) is not float or not 0.0 < alpha < math.inf:
+    if type(alpha) is not float or not 0.0 < alpha < inf:
         alpha = _check_alpha(alpha)
     if type(x) is float:
         ax = abs(x)
-        return ax + (2.0 / alpha) * math.log1p(math.exp(-alpha * ax))
+        return ax + (2.0 / alpha) * log1p(exp(-alpha * ax))
     ax = np.abs(x)
     if type(ax) is not np.ndarray:  # a numpy scalar or a 0-d input
         return ax + (2.0 / alpha) * np.log1p(np.exp(-alpha * ax))
@@ -109,7 +110,7 @@ def _fold(omega, alpha: float):
     om = np.asarray(omega, dtype=float)
     if om.ndim != 2 or om.shape[1] == 0:
         raise ValueError(f"expected a 2-D matrix with a column, got shape {om.shape}")
-    sums = np.sum(abs_smooth(om, alpha), axis=0)
+    sums = np.add.reduce(abs_smooth(om, alpha), 0)  # np.sum(..., axis=0) without its wrappers
     columns = iter(sums.tolist())
     value = next(columns)
     for s in columns:

@@ -84,7 +84,8 @@ class RelevanceProfile:
         return l1smooth.abs_smooth_grad(self.lam, alpha)
 
     def stepped(self, params) -> "RelevanceProfile":
-        """The profile `params`, clamped at zero and normalized."""
+        """The finite profile `params` (the SGD step checks it), clamped at
+        zero and normalized; ValueError if the clamp leaves it all zero."""
         return normalize_lambda(clamp_lambda(RelevanceProfile(params)))
 
 
@@ -209,11 +210,9 @@ def normalize_omega(om: OmegaMatrix) -> OmegaMatrix:
 
 
 def clamp_lambda(rel: RelevanceProfile) -> RelevanceProfile:
-    """Zero out negative components (applied before normalize_lambda)."""
-    clamped = np.maximum(rel.lam, 0.0)
-    if not clamped.max() > 0.0:
-        raise ValueError("clamping zeroed the whole relevance profile")
-    return RelevanceProfile(clamped)
+    """Zero out negative components (applied before normalize_lambda, which
+    refuses a profile that this leaves all zero)."""
+    return RelevanceProfile(np.maximum(rel.lam, 0.0))
 
 
 def det_metric(om: OmegaMatrix) -> float | None:

@@ -401,8 +401,9 @@ def reg_term_of(model: LVQModel, alpha: float) -> float:
 
 def _all_finite(a: np.ndarray) -> bool:
     """No NaN or inf in a: a finite sum clears every entry without a mask,
-    and a sum that finite entries overflowed falls back to the scan."""
-    return math.isfinite(a.sum()) or bool(np.isfinite(a).all())
+    and a sum that finite entries overflowed falls back to the scan. The sum
+    is the ufunc's reduce, which `a.sum()` calls through two Python frames."""
+    return math.isfinite(np.add.reduce(a, None)) or bool(np.isfinite(a).all())
 
 
 def train_epoch(

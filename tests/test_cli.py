@@ -129,6 +129,26 @@ class TestTrainCommand:
     def test_missing_data_is_usage_error(self, tmp_path):
         assert run_cli(["train", "--out", tmp_path / "r"]) == 2
 
+    def test_missing_out_is_usage_error(self, tmp_path, tiny_csv, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        before = sorted(p.name for p in tmp_path.iterdir())
+        assert run_cli(["train", "--data", tiny_csv]) == 2
+        assert "--out is required" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("seed,missing", [(4, "2 ('2')"), (2, "0 ('0')")])
+    def test_split_that_drops_a_class_writes_no_run(self, tmp_path, capsys, seed, missing):
+        # 2 rows per class, half held out unstratified: seed 4 keeps no class-2
+        # row for training, seed 2 no class-0 row
+        data_csv, out = tmp_path / "d.csv", tmp_path / "run"
+        assert run_cli(["synth", "--dims", 4, "--informative", 2, "--classes", 3,
+                        "--per-class", 2, "--seed", 1, "--out", data_csv]) == 0
+        capsys.readouterr()
+        assert run_cli(["train", "--data", data_csv, "--no-stratify", "--train-fraction", 0.5,
+                        "--epochs", 2, "--seed", seed, "--out", out]) == 1
+        assert f"error: the training data has no samples of class {missing}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nonexistent_data_is_runtime_error(self, tmp_path):
         code = run_cli(["train", "--data", tmp_path / "nope.csv",
                         "--out", tmp_path / "r"])
@@ -248,6 +268,18 @@ class TestPathCommand:
         assert configs[0] == configs[1]
         if edit:  # a manifest without `transfer` replays as identity
             assert configs[1].transfer == TransferFn()
+
+    def test_l2_normalize_is_recorded_replayed_and_applied(self, tmp_path, tiny_csv):
+        args = ["path", "--data", tiny_csv, "--epochs", 2, "--epochs-per-step", 1,
+                "--reg-steps", 2, "--seed", 8]
+        normed, replay, plain = tmp_path / "normed", tmp_path / "replay", tmp_path / "plain"
+        assert run_cli([*args, "--l2-normalize", "--out", normed]) == 0
+        assert json.loads((normed / "manifest.json").read_text())["l2_normalize"] is True
+        assert run_cli(["path", "--manifest", normed / "manifest.json", "--out", replay]) == 0
+        assert run_cli([*args, "--out", plain]) == 0
+        metrics = (normed / "metrics.jsonl").read_bytes()
+        assert (replay / "metrics.jsonl").read_bytes() == metrics
+        assert (plain / "metrics.jsonl").read_bytes() != metrics
 
     def test_replay_from_manifest(self, tmp_path, tiny_csv):
         out1 = tmp_path / "p3"

@@ -370,6 +370,16 @@ class TestLabelNames:
         with pytest.raises(ValueError, match="label_names must be a list of distinct strings"):
             LabeledDataset(np.zeros((3, 2)), self.LABELS, label_names=names)
 
+    @pytest.mark.parametrize("features,labels,dim_names,message", [
+        (np.zeros(3), LABELS, None, r"features must be 2-D, got shape \(3,\)"),
+        (np.zeros((3, 2)), np.array([0, 1]), None, "3 rows but 2 labels"),
+        (np.zeros((3, 2)), np.array([0, -1, 1]), None, "labels must be non-negative"),
+        (np.zeros((3, 2)), LABELS, ["a"], "dim_names length does not match"),
+    ], ids=["1-d-features", "label-count", "negative-label", "dim-names-length"])
+    def test_features_labels_and_dim_names_are_checked(self, features, labels, dim_names, message):
+        with pytest.raises(DatasetError, match=message):
+            LabeledDataset(features, labels, dim_names)
+
     @pytest.mark.parametrize("names", [None, ["a", "b"], ["a", "b", "c"]])
     def test_accepted(self, names):
         assert LabeledDataset(np.zeros((3, 2)), self.LABELS, label_names=names).label_names == names

@@ -279,6 +279,10 @@ class TestSandwich:
         assert res.upper == pytest.approx(n)
         assert res.holds
 
+    def test_a_vector_raises(self):
+        with pytest.raises(ValueError, match=r"expected a 2-D matrix, got shape \(4,\)"):
+            sandwich_check(np.ones(4))
+
     def test_diagonal_case_by_hand(self):
         res = sandwich_check(np.diag([0.6, 0.8]))
         assert res.lower == pytest.approx(0.8**2 / 2)  # 0.32

@@ -94,6 +94,12 @@ class TestDistances:
         with pytest.raises(ValueError, match=r"metric has 3 dims, vectors have shape \(4,\)"):
             OmegaMatrix(np.ones((2, 3))).dist(np.ones(4), np.ones(4))
 
+    def test_parameters_of_the_wrong_rank(self):
+        with pytest.raises(ValueError, match=r"relevance profile must be 1-D, got shape \(2, 3\)"):
+            RelevanceProfile(np.ones((2, 3)))
+        with pytest.raises(ValueError, match=r"projection must be 2-D, got shape \(3,\)"):
+            OmegaMatrix(np.ones(3))
+
 
 class TestGradients:
     """Every analytic gradient is checked against central finite differences."""
@@ -286,8 +292,10 @@ class TestNormalizeClamp:
         assert np.array_equal(out.lam, [0.5, 0.0])
 
     def test_clamp_all_negative(self):
-        with pytest.raises(ValueError, match="clamping zeroed the whole relevance profile"):
-            clamp_lambda(RelevanceProfile(np.array([-0.5, -0.1])))
+        # clamping alone returns the zero profile; the step's renormalization refuses it
+        assert np.array_equal(clamp_lambda(RelevanceProfile(np.array([-0.5, -0.1]))).lam, [0.0, 0.0])
+        with pytest.raises(ValueError, match="relevance profile is all zero"):
+            RelevanceProfile.uniform(2).stepped(np.array([-0.5, -0.1]))
 
     def test_clamp_componentwise(self):
         rng = np.random.default_rng(13)

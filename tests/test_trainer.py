@@ -731,6 +731,8 @@ class TestConfigAndSchedule:
             TrainConfig(alpha=0.0)
         with pytest.raises(ValueError, match="rate_decay must be finite"):
             TrainConfig(rate_decay=float("inf"))
+        with pytest.raises(ValueError, match="sparsity_threshold must be positive"):
+            TrainConfig(sparsity_threshold=0.0)
         for count in ("epochs", "seed", "omega_rows", "protos_per_class"):
             with pytest.raises(TypeError, match=f"{count} must be an integer"):
                 TrainConfig(**{count: True})
@@ -862,6 +864,8 @@ class TestModelValidation:
         "omega-rows-beyond-the-data": (lambda: init_model(small_data(seed=3, n_dims=4),
                                                           TrainConfig("gmlvq", omega_rows=5)),
                                        "1 <= rows"),
+        "one-class-training-data": (lambda: init_model(small_data(classes=2).subset(np.arange(20)),
+                                                       TrainConfig()), "at least two classes"),
         "non-finite-vector": (lambda: LVQModel("glvq", PrototypeSet([[0.0, np.nan], [1.0, 1.0]],
                                                                     [0, 1])), "must be finite"),
         "non-finite-lambda": (lambda: LVQModel("grlvq", PrototypeSet(np.eye(2), [0, 1]),
@@ -878,6 +882,17 @@ class TestModelValidation:
         build, message = self.IN_MEMORY[case]
         with pytest.raises(ValueError, match=message):
             build()
+
+    def test_training_data_without_a_named_class_is_refused_by_name(self):
+        # a split can leave out the highest class, which labels.max() + 1 would not count
+        synth = synth_sparse(4, 2, 3, 2, 1.0, 1)
+        data = LabeledDataset(synth.features, synth.labels, label_names=["a", "b", "c"])
+        train_set, _ = split(data, SplitSpec(0.5, stratified=False, seed=4))
+        assert train_set.labels.tolist() == [0, 0, 1]
+        with pytest.raises(ValueError, match=r"no samples of class 2 \('c'\)"):
+            init_model(train_set, TrainConfig(epochs=2, seed=4))
+        model = init_model(data, TrainConfig(epochs=2, seed=4))
+        assert model.protos.labels.tolist() == [0, 1, 2]
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_metric_width_differs_from_the_prototypes(self, kind):
