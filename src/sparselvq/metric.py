@@ -1,7 +1,9 @@
 """Parametrized dissimilarities and their gradients.
 
-Two families: a per-dimension weighting (relevance profile, diagonal
-metric) and a full linear projection (m x n matrix, metric = O^T O).
+Two families: a per-dimension weighting (relevance profile, projection
+diag(lam)) and a full linear projection (m x n matrix, metric = O^T O).
+Both project a difference row, then square it, and take their gradients
+from that projection.
 Each class owns its maths: distances (one pair, or one sample against
 many prototypes), the gradients, the smooth l1 penalty and the
 clamp/normalize step. The methods reach the module functions below and
@@ -55,24 +57,21 @@ class RelevanceProfile:
         return self.lam
 
     def dists(self, diff: np.ndarray) -> np.ndarray:
-        """sum(lam_i^2 * diff_i^2) for each row of an (M, n) difference array."""
-        return np.dot(diff**2, self.lam**2)
+        """||lam * diff||^2 for each row of an (M, n) difference array."""
+        p = diff * self.lam
+        return np.einsum("ij,ij->i", p, p)
 
     def dist(self, v, w) -> float:
         return float(self.dists(_delta(v, w, self)[np.newaxis])[0])
 
-    def unused_dims(self) -> np.ndarray:
-        """Dimensions `dists` gives no weight: lam_i * lam_i is 0, also where
-        it underflows. `dists` squares a cell before weighting it, so such a
-        cell of 1e200 gives inf * 0, a NaN."""
-        return np.flatnonzero(self.lam * self.lam == 0.0)
-
     def winner_grads(self, D2: np.ndarray, xi) -> tuple[np.ndarray, np.ndarray | None]:
         """d dist / d w for each row of the difference block D2, and for
         the step's two winner rows xi[0] * d dist(D2[0]) / d lam +
-        xi[1] * d dist(D2[1]) / d lam, or None for xi None."""
-        G = grad_proto_lambda(D2, self)
-        return G, None if xi is None else grad_lambda(D2, xi, self)
+        xi[1] * d dist(D2[1]) / d lam, or None for xi None. Both read one
+        projection P2 = D2 * lam."""
+        P2 = D2 * self.lam
+        G = grad_proto_lambda(P2, self)
+        return G, None if xi is None else grad_lambda(P2, D2, xi)
 
     def penalty(self, alpha: float) -> float:
         """Smooth l1 norm of lam. Its gradient shrinks small weights toward
@@ -123,11 +122,6 @@ class OmegaMatrix:
     def dist(self, v, w) -> float:
         return float(self.dists(_delta(v, w, self)[np.newaxis])[0])
 
-    def unused_dims(self) -> np.ndarray:
-        """Dimensions `dists` gives no weight: Omega's all-zero columns. It
-        projects a cell before squaring, so a tiny nonzero column still counts."""
-        return np.flatnonzero(~self.omega.any(axis=0))
-
     def winner_grads(self, D2: np.ndarray, xi) -> tuple[np.ndarray, np.ndarray | None]:
         """d dist / d w for each row of the difference block D2, and for
         the step's two winner rows xi[0] * d dist(D2[0]) / d O +
@@ -166,9 +160,9 @@ def _delta(v, w, met: RelevanceProfile | OmegaMatrix) -> np.ndarray:
     return v - w
 
 
-def grad_proto_lambda(D: np.ndarray, rel: RelevanceProfile) -> np.ndarray:
-    """d dist / d w for each difference row delta = v - w of D: -2 * lam^2 * delta."""
-    return -2.0 * rel.lam**2 * D
+def grad_proto_lambda(P: np.ndarray, rel: RelevanceProfile) -> np.ndarray:
+    """d dist / d w for each row delta of D, from P = D * lam: -2 * lam * P."""
+    return -2.0 * rel.lam * P
 
 
 def grad_proto_omega(P: np.ndarray, om: OmegaMatrix) -> np.ndarray:
@@ -177,10 +171,10 @@ def grad_proto_omega(P: np.ndarray, om: OmegaMatrix) -> np.ndarray:
     return np.dot(-2.0 * P, om.omega)
 
 
-def grad_lambda(D: np.ndarray, xi, rel: RelevanceProfile) -> np.ndarray:
-    """xi[0] * g(D[0]) + xi[1] * g(D[1]) at the two rows delta of D, where
-    g_j = d dist / d lam_j = 2 * lam_j * delta_j^2."""
-    r = 2.0 * rel.lam * D**2
+def grad_lambda(P: np.ndarray, D: np.ndarray, xi) -> np.ndarray:
+    """xi[0] * g(D[0]) + xi[1] * g(D[1]) at the two rows delta of D, from
+    P = D * lam: g_j = d dist / d lam_j = 2 * [lam * delta]_j * delta_j."""
+    r = 2.0 * P * D
     return xi[0] * r[0] + xi[1] * r[1]
 
 

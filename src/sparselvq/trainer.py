@@ -321,20 +321,16 @@ def distance_matrix(model: LVQModel, X: np.ndarray) -> np.ndarray:
 
     Per block of `_score_blocks`, each prototype's score column plus |P x|^2,
     clamped at zero, so the memory used beyond X and the result is one
-    (DIST_BLOCK_ROWS, n) block. |P x|^2 leaves out the metric's
-    `unused_dims`, however large their cells, as the scores do; ValueError
-    names the first row whose distances are still not finite. Entries agree
-    with `LVQModel.dist` up to rounding. Coinciding prototypes get equal
-    columns, so an argmin gives their rows to the lower index, as in
-    `predict`. N = 0 gives an empty (0, M) result; X must be 2-D. The epoch
-    metrics read it.
+    (DIST_BLOCK_ROWS, n) block. ValueError names the first row whose
+    distances are not finite. Entries agree with `LVQModel.dist` up to
+    rounding. Coinciding prototypes get equal columns, so an argmin gives
+    their rows to the lower index, as in `predict`. N = 0 gives an empty
+    (0, M) result; X must be 2-D. The epoch metrics read it.
     """
     _, column, blocks = _score_blocks(model, X)
-    unused = model.metric.unused_dims()
     out = np.empty((len(X), column.size))
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite row raises instead
         for rows, C, scores in blocks:
-            C[:, unused] = 0.0
             block = out[rows]
             np.take(scores, column, axis=1, out=block)
             block += model.metric.dists(C)[:, np.newaxis]

@@ -273,18 +273,24 @@ class TestDistanceMatrix:
                                                  f"non-finite distance"):
                 distance_matrix(model, X)
 
-    def test_a_weight_whose_square_underflows_leaves_its_dimension_out(self):
-        # lam_1 = 1e-200 squares to 0, so the profile's dists would weight the
-        # cell 1e200 as inf * 0; predict's scores leave dimension 1 out, and so
-        # must the distances
+    @pytest.mark.parametrize("weight,expected", [
+        (1e-200, [[1.0, 2.0], [0.81, 0.01]]),  # the weight squares to 0
+        (1e-150, [[1e100, 1e100], [0.81, 0.01]]),  # the cell squares to inf
+    ])
+    def test_a_tiny_weight_on_a_huge_cell_gives_their_product(self, weight, expected):
+        # dimension 1 counts by (1e200 * weight)^2, though weight^2 underflows
+        # or the cell's square overflows: the profile projects before squaring
         model = LVQModel("grlvq", PrototypeSet(np.array([[0.0, 0.0], [1.0, 0.0]]),
                                                np.array([0, 1])),
-                         RelevanceProfile([1.0, 1e-200]))
+                         RelevanceProfile([1.0, weight]))
         X = np.array([[0.0, 1e200], [0.9, 0.0]])
         data = LabeledDataset(X, np.array([0, 1]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            np.testing.assert_allclose(distance_matrix(model, X), [[0.0, 1.0], [0.81, 0.01]])
+            got = distance_matrix(model, X)
+            np.testing.assert_allclose(got, expected)
+            per_pair = [[model.dist(x, w) for w in model.protos.vectors] for x in X]
+            np.testing.assert_allclose(got, per_pair, rtol=1e-12)
             assert evaluate(model, data) == evaluate(model, data, predict(model, X)) == 1.0
 
     @settings(max_examples=60)
@@ -396,7 +402,7 @@ class TestTrainEpoch:
     @pytest.mark.parametrize("kind", KINDS)
     def test_epoch_matches_the_per_pair_reference(self, kind):
         """One epoch against a loop that takes one gradient per winner row:
-        -2 lam^2 delta and 2 lam delta^2, or -2 O^T O delta and
+        -2 lam (lam delta) and 2 (lam delta) delta, or -2 O^T O delta and
         2 outer(O delta, delta), combined as xi+ g+ + xi- g-."""
         data = small_data(seed=59, n_dims=12, n_informative=4, classes=3, per_class=15)
         cfg = TrainConfig(model_kind=kind, omega_rows=5 if kind == "gmlvq" else 0,
@@ -413,7 +419,8 @@ class TestTrainEpoch:
         X, y = data.features, data.labels
         for idx in np.random.default_rng(5).permutation(data.n_samples):
             D = X[idx] - W
-            dists = D**2 @ lam**2 if O is None else np.einsum("ij,ij->i", D @ O.T, D @ O.T)
+            P = D * lam if O is None else D @ O.T
+            dists = np.einsum("ij,ij->i", P, P)
             same, other = np.flatnonzero(labels == y[idx]), np.flatnonzero(labels != y[idx])
             ip, im = same[dists[same].argmin()], other[dists[other].argmin()]
             dp, dm = float(dists[ip]), float(dists[im])
@@ -422,8 +429,8 @@ class TestTrainEpoch:
             common = 2.0 * 1.0 / (dp + dm)  # f'(mu) = 1 for the identity transfer
             xp, xm = common * (dm / (dp + dm)), -common * (dp / (dp + dm))
             if O is None:
-                gp, gm = -2.0 * lam**2 * D[ip], -2.0 * lam**2 * D[im]
-                g = xp * (2.0 * lam * D[ip] ** 2) + xm * (2.0 * lam * D[im] ** 2)
+                gp, gm = -2.0 * lam * (lam * D[ip]), -2.0 * lam * (lam * D[im])
+                g = xp * (2.0 * (lam * D[ip]) * D[ip]) + xm * (2.0 * (lam * D[im]) * D[im])
                 g += reg_weight * abs_smooth_grad(lam, alpha)
             else:
                 gp, gm = -2.0 * (O.T @ (O @ D[ip])), -2.0 * (O.T @ (O @ D[im]))
@@ -477,13 +484,14 @@ class TestTrainEpoch:
         assert exc.value.step >= 0
 
     def test_nan_distance_aborts_rather_than_picking_a_finite_winner(self):
-        # lam_1^2 underflows to 0 and the row's cell squares to inf: inf * 0 is a
-        # NaN distance to prototype 1, the later one of class 0, while prototype 0
-        # is at distance 0; argmin picks the NaN, and so must the step
-        W = np.array([[0.0, 1e200], [0.0, 0.0], [1.0, 1e200]])
+        # the row's difference to prototype 1 overflows to inf where lam_1 is 0:
+        # inf * 0 is a NaN distance to prototype 1, the later one of class 0,
+        # while prototype 0 is at distance 0; argmin picks the NaN, and so must
+        # the step
+        W = np.array([[0.0, 1e308], [0.0, -1e308], [1.0, 1e308]])
         model = LVQModel("grlvq", PrototypeSet(W, np.array([0, 0, 1])),
-                         RelevanceProfile([1.0, 1e-200]))
-        data = LabeledDataset(np.array([[0.0, 1e200]]), np.array([0]))
+                         RelevanceProfile([1.0, 0.0]))
+        data = LabeledDataset(np.array([[0.0, 1e308]]), np.array([0]))
         with np.errstate(all="ignore"):
             assert np.isnan(model.metric.dists(data.features[0] - W)).tolist() == [
                 False, True, False]
