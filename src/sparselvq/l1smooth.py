@@ -17,9 +17,9 @@ functions, bound at import: numpy's per-call dispatch on one scalar costs
 more than the arithmetic.
 Each public function checks alpha once per call: the fold hands its
 merges the checked Python float, which abs_smooth takes without a second
-check. The array kernels (abs_smooth on an array, the matrix gradient)
-build their result in one buffer, in the order of the plain expression,
-so they match it bit for bit.
+check. The array kernels (abs_smooth and abs_smooth_grad on an array,
+the matrix gradient) build their result in one buffer, in the order of
+the plain expression, so they match it bit for bit.
 
 For a|x| well below 2 the surrogate is close to the quadratic
 2*log(2)/a + a*x**2/4, so on small parameters it acts like a ridge term:
@@ -86,9 +86,15 @@ def abs_smooth(x, alpha: float = DEFAULT_ALPHA):
 
 
 def abs_smooth_grad(x, alpha: float = DEFAULT_ALPHA):
-    """Derivative of :func:`abs_smooth`: ``tanh(alpha*x/2)``."""
-    alpha = _check_alpha(alpha)
-    return np.tanh(0.5 * alpha * np.asarray(x, dtype=float))
+    """Derivative of :func:`abs_smooth`: ``tanh(0.5*alpha*x)``.
+
+    A scalar input returns a numpy scalar; an array's result is built in
+    one buffer. Alpha is checked as in :func:`abs_smooth`.
+    """
+    if type(alpha) is not float or not 0.0 < alpha < inf:
+        alpha = _check_alpha(alpha)
+    out = np.multiply(np.asarray(x, dtype=float), 0.5 * alpha)
+    return np.tanh(out, out=out) if out.ndim else np.tanh(out)
 
 
 def l1_smooth(v, alpha: float = DEFAULT_ALPHA) -> float:

@@ -16,7 +16,11 @@ the xi-weighted data gradient of the metric parameters in one call;
 `dist(v, w)` checks two raw vectors against the metric.
 Distance and gradient evaluations are pure; `stepped` and the
 clamp/normalize functions return new wrapper objects and are meant to
-run inside the single-threaded training step.
+run inside the single-threaded training step. `stepped` owns the step's
+one finiteness check on the new parameters: the normalization refuses a
+squared norm that is not finite, which a NaN or inf entry or an overflow
+gives, and the profile first refuses a NaN or -inf that its clamp would
+hide.
 """
 
 from __future__ import annotations
@@ -83,9 +87,13 @@ class RelevanceProfile:
         return l1smooth.abs_smooth_grad(self.lam, alpha)
 
     def stepped(self, params) -> "RelevanceProfile":
-        """The finite profile `params` (the SGD step checks it), clamped at
-        zero and normalized; ValueError if the clamp leaves it all zero."""
-        return normalize_lambda(clamp_lambda(RelevanceProfile(params)))
+        """The profile `params`, clamped at zero and normalized. ValueError
+        on a NaN or -inf (checked first: the clamp would turn -inf into 0),
+        or where normalize_lambda refuses the clamped profile."""
+        rel = RelevanceProfile(params)
+        if not np.minimum.reduce(rel.lam) > -math.inf:  # NaN compares False too
+            raise ValueError("relevance profile has a NaN or -inf entry")
+        return normalize_lambda(clamp_lambda(rel))
 
 
 @dataclass
@@ -146,7 +154,8 @@ class OmegaMatrix:
         return l1smooth.matrix_l1_smooth_grad(self.omega, alpha)
 
     def stepped(self, params) -> "OmegaMatrix":
-        """The projection `params`, normalized."""
+        """The projection `params`, normalized; ValueError where
+        normalize_omega refuses it."""
         return normalize_omega(OmegaMatrix(params))
 
 
@@ -185,22 +194,29 @@ def grad_omega(P: np.ndarray, D: np.ndarray, xi) -> np.ndarray:
     return np.dot(P.T * (2.0 * xi[0], 2.0 * xi[1]), D)
 
 
+def _norm(x: np.ndarray, what: str) -> float:
+    """np.linalg.norm(x) bit for bit (`vdot` is its dot product, without the
+    dispatch or an overflow warning); ValueError if x is all zero or the
+    squared norm is not finite: a NaN or inf entry, or an overflow."""
+    x = x.ravel("K")
+    sq = np.vdot(x, x)
+    if sq == 0.0:
+        raise ValueError(f"{what} is all zero")
+    if not math.isfinite(sq):
+        raise ValueError(f"{what} has a NaN or inf entry, or its squared norm overflows")
+    return math.sqrt(sq)
+
+
 def normalize_lambda(rel: RelevanceProfile) -> RelevanceProfile:
-    """Rescale so that sum(lam_i^2) = 1; direction preserved."""
-    x = rel.lam.ravel("K")
-    norm = math.sqrt(x @ x)  # what np.linalg.norm computes, without its dispatch
-    if norm == 0.0:
-        raise ValueError("relevance profile is all zero")
-    return RelevanceProfile(rel.lam / norm)
+    """Rescale so that sum(lam_i^2) = 1; direction preserved. ValueError
+    as `_norm` gives it."""
+    return RelevanceProfile(rel.lam / _norm(rel.lam, "relevance profile"))
 
 
 def normalize_omega(om: OmegaMatrix) -> OmegaMatrix:
-    """Rescale so that the sum of squared entries (Frobenius norm sq.) is 1."""
-    x = om.omega.ravel("K")
-    norm = math.sqrt(x @ x)
-    if norm == 0.0:
-        raise ValueError("projection matrix is all zero")
-    return OmegaMatrix(om.omega / norm)
+    """Rescale so that the sum of squared entries (Frobenius norm sq.) is 1.
+    ValueError as `_norm` gives it."""
+    return OmegaMatrix(om.omega / _norm(om.omega, "projection matrix"))
 
 
 def clamp_lambda(rel: RelevanceProfile) -> RelevanceProfile:

@@ -4,11 +4,13 @@ One epoch is a pass over a seeded random permutation of the training
 samples. Each sample: one difference array D = v - W, winner search from
 its distances, one `winner_grads` call on D's two winner rows for both
 prototype gradients and the metric's data-term gradient, a step on the
-two winning prototypes, then one combined metric step of the data-term
-gradient plus reg_weight times the smooth l1 gradient, followed by clamp
-(profile case) and renormalization. GLVQ is GRLVQ with the profile frozen at
-uniform: it takes no metric step. `run_path` ramps reg_weight linearly
-and snapshots the model per step.
+two winning prototypes, then one metric step: -rate rides on the xi
+factors and on reg_weight, the smooth l1 gradient's factor, so the two
+gradients sum to the step itself, the parameters are added in place, and
+`stepped` clamps (profile case), renormalizes and refuses a non-finite
+result. GLVQ is GRLVQ with the profile frozen at uniform: it takes no
+metric step. `run_path` ramps reg_weight linearly and snapshots the
+model per step.
 """
 
 from __future__ import annotations
@@ -50,7 +52,8 @@ DIST_BLOCK_ROWS = 128
 
 
 class NonFiniteUpdate(RuntimeError):
-    """A gradient step produced NaN/Inf; training aborts rather than clips."""
+    """A gradient step produced NaN/Inf, or a metric the renormalization
+    refuses; training aborts rather than clips."""
 
     def __init__(self, step: int, detail: str):
         super().__init__(f"non-finite update at sample step {step}: {detail}")
@@ -126,8 +129,9 @@ class LVQModel:
     without a metric; training keeps it frozen and model files leave it out.
     A kind outside MODEL_KINDS, a metric of the wrong class for the kind or
     not as wide as the prototypes, a non-finite prototype or metric entry,
-    another glvq profile, or `label_names` that is not a list of distinct
-    non-empty strings naming every prototype label raises ValueError.
+    an all-zero metric (every distance 0), another glvq profile, or
+    `label_names` that is not a list of distinct non-empty strings naming
+    every prototype label raises ValueError.
     """
 
     kind: str
@@ -153,6 +157,8 @@ class LVQModel:
             raise ValueError(f"the metric has {self.metric.n_dims} dims, the prototypes {n}")
         if not (np.isfinite(self.protos.vectors).all() and np.isfinite(self.metric.params).all()):
             raise ValueError("the prototype vectors and the metric must be finite")
+        if not self.metric.params.any():
+            raise ValueError("the metric is all zero, which puts every row at distance 0")
         if self.kind == "glvq" and not np.array_equal(self.metric.lam, RelevanceProfile.uniform(n).lam):
             raise ValueError("a glvq model's profile must be the uniform one its model file implies")
         _check_label_names(self.label_names, self.protos.labels)
@@ -417,7 +423,8 @@ def train_epoch(
     Without a held-out set test_accuracy is None. Samples whose two winner
     distances are both zero are skipped (no usable gradient). The model, both
     data sets' widths and the class table are checked before any step; each
-    step checks W and the new metric parameters for finiteness once.
+    step checks W for finiteness once, and the metric's `stepped` checks the
+    new parameters once; either refusal raises NonFiniteUpdate.
     """
     X, y = train_data.features, train_data.labels
     W = model.protos.vectors
@@ -443,29 +450,30 @@ def train_epoch(
         xp, xm = xi_factors(d_plus, d_minus, f)
         met = model.metric
 
-        # all gradients taken at the pre-step state: D is not written below
-        G, g_metric = met.winner_grads(D.take((ip, im), axis=0), (xp, xm) if rate_m else None)
+        # all gradients taken at the pre-step state: D is not written below;
+        # g_metric comes out as the step -rate_m * g
+        G, g_metric = met.winner_grads(D.take((ip, im), axis=0),
+                                       (-rate_m * xp, -rate_m * xm) if rate_m else None)
         if rate_m and reg_weight:
             g_penalty = met.penalty_grad(alpha)  # a fresh array: scaled in place
-            g_penalty *= reg_weight
+            g_penalty *= -rate_m * reg_weight
             g_metric += g_penalty
 
         wp, wm = W[ip], W[im]  # views: -= on W[ip] would copy the row back into W
         wp -= rate_p * xp * G[0]
         wm -= rate_p * xm * G[1]
-        ok = _all_finite(W)
-
-        if ok and rate_m:
-            g_metric *= -rate_m  # in place on the step's own array: params - rate_m * g
-            g_metric += met.params
-            ok = _all_finite(g_metric)
-            if ok:
+        refused = "" if _all_finite(W) else "a prototype is not finite"
+        if rate_m and not refused:
+            g_metric += met.params  # in place on the step's own array
+            try:
                 model.metric = met.stepped(g_metric)
-        if not ok:
+            except ValueError as exc:  # a non-finite or all-zero result
+                refused = str(exc)
+        if refused:
             raise NonFiniteUpdate(
                 t * train_data.n_samples + step,
                 f"epoch {t}, sample {idx}, reg_weight {reg_weight}, "
-                f"rates ({rate_p:g}, {rate_m:g}), d+ {d_plus:g}, d- {d_minus:g}",
+                f"rates ({rate_p:g}, {rate_m:g}), d+ {d_plus:g}, d- {d_minus:g}: {refused}",
             )
 
     if isinstance(model.metric, OmegaMatrix):

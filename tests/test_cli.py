@@ -487,6 +487,8 @@ class TestEvalCommand:
                      "`lambda` must hold", id="string-lambda"),
         pytest.param(lambda d: d.update({"lambda": d["lambda"][:-1]}),
                      "the metric has 5 dims, the prototypes 6", id="lambda-length"),
+        pytest.param(lambda d: d.update({"lambda": [0.0] * len(d["lambda"])}),
+                     "the metric is all zero", id="all-zero-lambda"),
         pytest.param(lambda d: d.update(label_names=[0, 1]), "label_names must be a list of "
                      "distinct strings", id="integer-label-names"),
         pytest.param(lambda d: d.update(label_names=["0", "0"]), "label_names must be a list of "

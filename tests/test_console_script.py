@@ -247,3 +247,14 @@ def test_training_whose_data_scale_overflows_the_init_exits_1_names_the_scale(wo
         assert "scale" in res.stderr and "Warning" not in res.stderr, res.stderr
         assert len(res.stderr.strip().splitlines()) == 1, res.stderr
         assert not (work / f"scale1e153-{kind}").exists()
+
+
+# the metric step's new parameters are finite, but their squared norm
+# overflows; dividing by its root wrote an all-zero metric and exited 0
+def test_training_whose_metric_step_overflows_exits_1_and_writes_no_model(work):
+    for kind in ("grlvq", "gmlvq"):
+        res = sparselvq_cli(work, "train", "--data", "tiny.csv", "--model", kind, "--epochs", 2,
+                            "--rate-metric", "1e200", "--out", f"rate1e200-{kind}")
+        assert res.returncode == 1, res.stderr
+        assert "non-finite update" in res.stderr and "Warning" not in res.stderr, res.stderr
+        assert not (work / f"rate1e200-{kind}" / "model.json").exists()

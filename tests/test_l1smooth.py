@@ -84,6 +84,21 @@ class TestKernelBuffers:
         assert np.array_equal(x, kept)
 
     @pytest.mark.parametrize("alpha", [0.5, 5.0, 50.0])
+    @pytest.mark.parametrize("shape", [(7,), (200,), (20, 200)])
+    def test_abs_smooth_grad_is_bit_equal_to_the_expression(self, alpha, shape):
+        x = np.random.default_rng(shape[-1] + 1).normal(scale=0.3, size=shape)
+        kept = x.copy()
+        got = abs_smooth_grad(x, alpha)
+        assert np.array_equal(got, np.tanh(0.5 * alpha * x))
+        assert np.array_equal(x, kept)
+
+    @pytest.mark.parametrize("x", [0.3, np.float64(-0.3), np.array(0.3)],
+                             ids=["float", "numpy-scalar", "0-d"])
+    def test_abs_smooth_grad_of_a_scalar_is_a_numpy_scalar(self, x):
+        got = abs_smooth_grad(x, 5.0)
+        assert type(got) is np.float64 and got == np.tanh(0.5 * 5.0 * np.asarray(x))
+
+    @pytest.mark.parametrize("alpha", [0.5, 5.0, 50.0])
     @pytest.mark.parametrize("shape", [(20, 200), (200, 200)])
     def test_matrix_grad_is_bit_equal_to_the_expression(self, alpha, shape):
         om = np.random.default_rng(shape[0]).normal(scale=0.07, size=shape)
@@ -102,6 +117,8 @@ class TestKernelBuffers:
     def test_a_bad_alpha_raises_on_every_path(self, x, alpha):
         with pytest.raises(ValueError, match="sharpness alpha"):
             abs_smooth(x, alpha)
+        with pytest.raises(ValueError, match="sharpness alpha"):
+            abs_smooth_grad(x, alpha)
         with pytest.raises(ValueError, match="sharpness alpha"):
             matrix_l1_smooth_grad(np.atleast_2d(x), alpha)
 

@@ -281,6 +281,22 @@ class TestNormalizeClamp:
         with pytest.raises(ValueError, match="projection matrix is all zero"):
             normalize_omega(OmegaMatrix(np.zeros((2, 3))))
 
+    # a finite entry whose square overflows: dividing by sqrt(inf) would
+    # zero the metric. The suite turns a numpy overflow warning into an error
+    def test_normalize_refuses_a_squared_norm_that_overflows_without_a_warning(self):
+        with pytest.raises(ValueError, match="relevance profile .* squared norm overflows"):
+            normalize_lambda(RelevanceProfile([1e200, 1.0]))
+        with pytest.raises(ValueError, match="projection matrix .* squared norm overflows"):
+            normalize_omega(OmegaMatrix([[1.0, 0.0], [0.0, 1e200]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_stepped_refuses_a_non_finite_entry(self, bad):
+        # the clamp would turn -inf into 0: the profile checks before it
+        with pytest.raises(ValueError, match="relevance profile has a NaN or .*inf"):
+            RelevanceProfile.uniform(3).stepped(np.array([0.5, bad, 0.2]))
+        with pytest.raises(ValueError, match="projection matrix has a NaN or inf"):
+            OmegaMatrix(np.eye(2)).stepped(np.array([[0.5, bad], [0.1, 0.2]]))
+
     def test_clamp_basic(self):
         out = clamp_lambda(RelevanceProfile(np.array([0.5, -0.1])))
         assert np.array_equal(out.lam, [0.5, 0.0])

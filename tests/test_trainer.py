@@ -403,7 +403,9 @@ class TestTrainEpoch:
     def test_epoch_matches_the_per_pair_reference(self, kind):
         """One epoch against a loop that takes one gradient per winner row:
         -2 lam (lam delta) and 2 (lam delta) delta, or -2 O^T O delta and
-        2 outer(O delta, delta), combined as xi+ g+ + xi- g-."""
+        2 outer(O delta, delta). The metric step folds the rate into each
+        factor, as the trainer does: params + (-rate xi+) g+ + (-rate xi-) g-
+        + (-rate w) penalty gradient."""
         data = small_data(seed=59, n_dims=12, n_informative=4, classes=3, per_class=15)
         cfg = TrainConfig(model_kind=kind, omega_rows=5 if kind == "gmlvq" else 0,
                           protos_per_class=2, rate_proto=0.05, rate_metric=0.01, seed=59)
@@ -428,22 +430,23 @@ class TestTrainEpoch:
                 continue
             common = 2.0 * 1.0 / (dp + dm)  # f'(mu) = 1 for the identity transfer
             xp, xm = common * (dm / (dp + dm)), -common * (dp / (dp + dm))
+            sp, sm, sw = -rate_m * xp, -rate_m * xm, -rate_m * reg_weight
             if O is None:
                 gp, gm = -2.0 * lam * (lam * D[ip]), -2.0 * lam * (lam * D[im])
-                g = xp * (2.0 * (lam * D[ip]) * D[ip]) + xm * (2.0 * (lam * D[im]) * D[im])
-                g += reg_weight * abs_smooth_grad(lam, alpha)
+                step = sp * (2.0 * (lam * D[ip]) * D[ip]) + sm * (2.0 * (lam * D[im]) * D[im])
+                step += sw * abs_smooth_grad(lam, alpha)
             else:
                 gp, gm = -2.0 * (O.T @ (O @ D[ip])), -2.0 * (O.T @ (O @ D[im]))
-                g = (xp * (2.0 * np.outer(O @ D[ip], D[ip]))
-                     + xm * (2.0 * np.outer(O @ D[im], D[im])))
-                g += reg_weight * matrix_l1_smooth_grad(O, alpha)
+                step = (sp * (2.0 * np.outer(O @ D[ip], D[ip]))
+                        + sm * (2.0 * np.outer(O @ D[im], D[im])))
+                step += sw * matrix_l1_smooth_grad(O, alpha)
             W[ip] -= rate_p * xp * gp
             W[im] -= rate_p * xm * gm
             if kind == "grlvq":
-                lam = np.maximum(lam - rate_m * g, 0.0)
+                lam = np.maximum(lam + step, 0.0)
                 lam = lam / np.linalg.norm(lam)
             elif kind == "gmlvq":
-                O = O - rate_m * g
+                O = O + step
                 O = O / np.linalg.norm(O)
 
         train_epoch(model, data, cfg, reg_weight, np.random.default_rng(5), t)
@@ -482,6 +485,28 @@ class TestTrainEpoch:
         with np.errstate(all="ignore"), pytest.raises(NonFiniteUpdate) as exc:
             train(model, data, cfg, rng=rng)
         assert exc.value.step >= 0
+
+    @pytest.mark.parametrize("kind", ["grlvq", "gmlvq"])
+    def test_a_metric_step_whose_squared_norm_overflows_aborts(self, kind):
+        # the new parameters are finite, their squared norm is not: dividing
+        # by its root would zero the metric. No numpy warning either
+        data = small_data(seed=17)
+        cfg = TrainConfig(model_kind=kind, rate_metric=1e200, seed=5)
+        model = init_model(data, cfg)
+        before = model.metric.params.copy()
+        with pytest.raises(NonFiniteUpdate, match="squared norm overflows") as exc:
+            train_epoch(model, data, cfg, 0.0, np.random.default_rng(5))
+        assert exc.value.step >= 0
+        assert np.array_equal(model.metric.params, before)
+
+    @pytest.mark.parametrize("kind", ["grlvq", "gmlvq"])
+    def test_a_non_finite_penalty_step_aborts(self, kind):
+        # inf * penalty gradient: the new parameters hold inf, -inf or NaN
+        data = small_data(seed=17)
+        cfg = TrainConfig(model_kind=kind, rate_metric=1.0, seed=5)
+        model = init_model(data, cfg)
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteUpdate, match="NaN or"):
+            train_epoch(model, data, cfg, np.inf, np.random.default_rng(5))
 
     def test_nan_distance_aborts_rather_than_picking_a_finite_winner(self):
         # the row's difference to prototype 1 overflows to inf where lam_1 is 0:
@@ -830,6 +855,9 @@ class TestModelValidation:
         "non-finite-vector": ("glvq", lambda d: d["protos"]["vectors"][0].__setitem__(0, float("nan"))),
         "non-finite-lambda": ("grlvq", lambda d: d["lambda"].__setitem__(0, float("inf"))),
         "non-finite-omega": ("gmlvq", lambda d: d["omega"][0].__setitem__(0, float("nan"))),
+        # every distance 0: every row would go to the first prototype's class
+        "all-zero-lambda": ("grlvq", lambda d: d.update({"lambda": [0.0] * 5})),
+        "all-zero-omega": ("gmlvq", lambda d: d.update(omega=[[0.0] * 5] * 3)),
         "missing-protos": ("glvq", lambda d: d.pop("protos")),
         "protos-not-an-object": ("glvq", lambda d: d.update(protos=[1, 2])),
         # entry types: labels must be JSON integers, the rest JSON numbers; none is converted
@@ -880,6 +908,10 @@ class TestModelValidation:
                                                RelevanceProfile([np.nan, 1.0])), "must be finite"),
         "non-finite-omega": (lambda: LVQModel("gmlvq", PrototypeSet(np.eye(2), [0, 1]),
                                               OmegaMatrix([[1.0, np.inf]])), "must be finite"),
+        "all-zero-lambda": (lambda: LVQModel("grlvq", PrototypeSet(np.eye(2), [0, 1]),
+                                             RelevanceProfile([0.0, 0.0])), "metric is all zero"),
+        "all-zero-omega": (lambda: LVQModel("gmlvq", PrototypeSet(np.eye(2), [0, 1]),
+                                            OmegaMatrix([[0.0, 0.0]])), "metric is all zero"),
         # a glvq model file carries no profile: glvq-with-lambda is its file counterpart
         "glvq-non-uniform-profile": (lambda: LVQModel("glvq", PrototypeSet(np.eye(2), [0, 1]),
                                                       RelevanceProfile([1.0, 0.0])), "uniform"),
