@@ -45,16 +45,20 @@ class NonFiniteValue(DatasetError):
         self.col = col
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """No NaN or inf in a: a finite sum (the ufunc's reduce, without
+    `a.sum()`'s two Python frames) clears every entry without a mask, and
+    one that finite entries overflowed falls back to the scan. Callers
+    silence numpy's overflow and invalid warnings around it."""
+    return math.isfinite(np.add.reduce(a, None)) or bool(np.isfinite(a).all())
+
+
 def _check_finite(a: np.ndarray) -> None:
-    """Raise NonFiniteValue at the first NaN or inf cell of the 2-D array a.
-    A finite sum clears every cell without an (N, n) mask; a non-finite one
-    scans, and finds nothing when finite cells overflowed the sum."""
+    """Raise NonFiniteValue at the first NaN or inf cell of the 2-D array a."""
     with np.errstate(over="ignore", invalid="ignore"):
-        total = a.sum()
-    if not math.isfinite(total):
-        bad = np.argwhere(~np.isfinite(a))
-        if bad.size:
-            raise NonFiniteValue(*bad[0].tolist())
+        if _all_finite(a):
+            return
+    raise NonFiniteValue(*np.argwhere(~np.isfinite(a))[0].tolist())
 
 
 @dataclass

@@ -8,16 +8,16 @@ two winning prototypes, then one metric step: -rate rides on the xi
 factors and on reg_weight, the smooth l1 gradient's factor, so the two
 gradients sum to the step itself, the parameters are added in place, and
 `stepped` clamps (profile case), renormalizes and refuses a non-finite
-result. GLVQ is GRLVQ with the profile frozen at uniform: it takes no
-metric step. `run_path` ramps reg_weight linearly and snapshots the
-model per step.
+result. That refusal and a non-finite prototype raise one NonFiniteUpdate;
+they catch every NaN or inf, so numpy's overflow warnings are off for the
+loop. GLVQ is GRLVQ with the profile frozen at uniform: it takes no metric
+step. `run_path` ramps reg_weight linearly and snapshots the model per step.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-import math
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import l1smooth, metric
-from .dataset import LabeledDataset, _check_label_names, _check_numbers
+from .dataset import LabeledDataset, _all_finite, _check_label_names, _check_numbers
 from .glvq import (
     PrototypeSet,
     TransferFn,
@@ -54,10 +54,6 @@ DIST_BLOCK_ROWS = 128
 class NonFiniteUpdate(RuntimeError):
     """A gradient step produced NaN/Inf, or a metric the renormalization
     refuses; training aborts rather than clips."""
-
-    def __init__(self, step: int, detail: str):
-        super().__init__(f"non-finite update at sample step {step}: {detail}")
-        self.step = step
 
 
 @dataclass
@@ -128,10 +124,11 @@ class LVQModel:
     A glvq model holds the uniform profile, which it gets here when built
     without a metric; training keeps it frozen and model files leave it out.
     A kind outside MODEL_KINDS, a metric of the wrong class for the kind or
-    not as wide as the prototypes, a non-finite prototype or metric entry,
-    an all-zero metric (every distance 0), another glvq profile, or
-    `label_names` that is not a list of distinct non-empty strings naming
-    every prototype label raises ValueError.
+    not as wide as the prototypes, a non-finite prototype, a metric whose
+    squared norm is not finite or is 0 (every distance 0; also when the
+    squares underflow), another glvq profile, or `label_names` that is not
+    a list of distinct non-empty strings naming every prototype label
+    raises ValueError.
     """
 
     kind: str
@@ -155,10 +152,9 @@ class LVQModel:
         n = self.n_features
         if self.metric.n_dims != n:
             raise ValueError(f"the metric has {self.metric.n_dims} dims, the prototypes {n}")
-        if not (np.isfinite(self.protos.vectors).all() and np.isfinite(self.metric.params).all()):
-            raise ValueError("the prototype vectors and the metric must be finite")
-        if not self.metric.params.any():
-            raise ValueError("the metric is all zero, which puts every row at distance 0")
+        if not np.isfinite(self.protos.vectors).all():
+            raise ValueError("the prototype vectors must be finite")
+        metric._norm(self.metric.params, "the metric")
         if self.kind == "glvq" and not np.array_equal(self.metric.lam, RelevanceProfile.uniform(n).lam):
             raise ValueError("a glvq model's profile must be the uniform one its model file implies")
         _check_label_names(self.label_names, self.protos.labels)
@@ -281,9 +277,9 @@ def _score_blocks(model: LVQModel, X):
     blocks): each column's first prototype, in index order; each
     prototype's column; and an iterator of (row slice, centred rows,
     scores) over X that reuses its buffers. ValueError unless X is a 2-D
-    array as wide as the model, and at the first row whose score is not finite;
-    callers silence numpy's overflow and invalid warnings once around their
-    loop over the blocks, so such a row gives that error alone.
+    array as wide as the model. The scores are not checked: callers silence
+    numpy's overflow and invalid warnings once around their loop over the
+    blocks and refuse a row whose score or distance is not finite.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -315,8 +311,6 @@ def _score_blocks(model: LVQModel, X):
             # BLAS: at (128, n) x (n, M) OpenBLAS (0.3.31) stays on one thread
             np.matmul(C, G.T, out=s)
             s += q
-            if not np.isfinite(s).all():  # a NaN or inf cell (also where g is 0), or an overflow
-                raise ValueError(f"row {start + np.isfinite(s).all(1).argmin()} gives a non-finite score")
             yield rows, C, s
 
     return first, column, blocks()
@@ -339,6 +333,7 @@ def distance_matrix(model: LVQModel, X: np.ndarray) -> np.ndarray:
         for rows, C, scores in blocks:
             block = out[rows]
             np.take(scores, column, axis=1, out=block)
+            # a non-finite score stays so after adding |P x|^2 >= 0
             block += model.metric.dists(C)[:, np.newaxis]
             if not np.isfinite(block).all():
                 raise ValueError(f"row {rows.start + np.isfinite(block).all(1).argmin()} "
@@ -354,12 +349,16 @@ def predict(model: LVQModel, X: np.ndarray) -> np.ndarray:
     prototype, so X is not projected and no (N, M) distance matrix is
     built. Coinciding prototypes are scored once, so the lowest index wins
     their ties; other ties go to the lowest index as far as rounding
-    preserves them.
+    preserves them. ValueError names the first row whose score is not finite
+    (a NaN or inf cell, also where the metric weighs it 0, or an overflow).
     """
     first, _, blocks = _score_blocks(model, X)
     idx = np.empty(len(X), dtype=np.intp)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite score raises instead
         for rows, _, scores in blocks:
+            if not np.isfinite(scores).all():
+                raise ValueError(f"row {rows.start + np.isfinite(scores).all(1).argmin()} "
+                                 f"gives a non-finite score")
             np.argmin(scores, axis=1, out=idx[rows])
     return model.protos.labels[first][idx]
 
@@ -401,13 +400,6 @@ def reg_term_of(model: LVQModel, alpha: float) -> float:
     return model.metric.penalty(alpha)
 
 
-def _all_finite(a: np.ndarray) -> bool:
-    """No NaN or inf in a: a finite sum clears every entry without a mask,
-    and a sum that finite entries overflowed falls back to the scan. The sum
-    is the ufunc's reduce, which `a.sum()` calls through two Python frames."""
-    return math.isfinite(np.add.reduce(a, None)) or bool(np.isfinite(a).all())
-
-
 def train_epoch(
     model: LVQModel,
     train_data: LabeledDataset,
@@ -422,9 +414,10 @@ def train_epoch(
     `t` is the global epoch index driving the 1/(1 + t*decay) rate decay.
     Without a held-out set test_accuracy is None. Samples whose two winner
     distances are both zero are skipped (no usable gradient). The model, both
-    data sets' widths and the class table are checked before any step; each
+    data sets' widths and the class table are checked before any step. Each
     step checks W for finiteness once, and the metric's `stepped` checks the
-    new parameters once; either refusal raises NonFiniteUpdate.
+    new parameters once; either refusal raises NonFiniteUpdate. They catch
+    every NaN or inf, so numpy's overflow and invalid warnings are off.
     """
     X, y = train_data.features, train_data.labels
     W = model.protos.vectors
@@ -442,39 +435,39 @@ def train_epoch(
 
     order = rng.permutation(train_data.n_samples).tolist()
     labels = y.tolist()
-    for step, idx in enumerate(order):
-        D, dists = _dists_to_protos(model, X[idx])
-        ip, im, d_plus, d_minus = winners_from_distances(dists, *table[labels[idx]])
-        if d_plus + d_minus == 0.0:
-            continue
-        xp, xm = xi_factors(d_plus, d_minus, f)
-        met = model.metric
+    with np.errstate(over="ignore", invalid="ignore"):  # the refusals below catch every NaN or inf
+        for step, idx in enumerate(order):
+            D, dists = _dists_to_protos(model, X[idx])
+            ip, im, d_plus, d_minus = winners_from_distances(dists, *table[labels[idx]])
+            if d_plus + d_minus == 0.0:
+                continue
+            xp, xm = xi_factors(d_plus, d_minus, f)
+            met = model.metric
 
-        # all gradients taken at the pre-step state: D is not written below;
-        # g_metric comes out as the step -rate_m * g
-        G, g_metric = met.winner_grads(D.take((ip, im), axis=0),
-                                       (-rate_m * xp, -rate_m * xm) if rate_m else None)
-        if rate_m and reg_weight:
-            g_penalty = met.penalty_grad(alpha)  # a fresh array: scaled in place
-            g_penalty *= -rate_m * reg_weight
-            g_metric += g_penalty
+            # all gradients taken at the pre-step state: D is not written below;
+            # g_metric comes out as the step -rate_m * g
+            G, g_metric = met.winner_grads(D.take((ip, im), axis=0),
+                                           (-rate_m * xp, -rate_m * xm) if rate_m else None)
+            if rate_m and reg_weight:
+                g_penalty = met.penalty_grad(alpha)  # a fresh array: scaled in place
+                g_penalty *= -rate_m * reg_weight
+                g_metric += g_penalty
 
-        wp, wm = W[ip], W[im]  # views: -= on W[ip] would copy the row back into W
-        wp -= rate_p * xp * G[0]
-        wm -= rate_p * xm * G[1]
-        refused = "" if _all_finite(W) else "a prototype is not finite"
-        if rate_m and not refused:
-            g_metric += met.params  # in place on the step's own array
+            wp, wm = W[ip], W[im]  # views: -= on W[ip] would copy the row back into W
+            wp -= rate_p * xp * G[0]
+            wm -= rate_p * xm * G[1]
             try:
-                model.metric = met.stepped(g_metric)
-            except ValueError as exc:  # a non-finite or all-zero result
-                refused = str(exc)
-        if refused:
-            raise NonFiniteUpdate(
-                t * train_data.n_samples + step,
-                f"epoch {t}, sample {idx}, reg_weight {reg_weight}, "
-                f"rates ({rate_p:g}, {rate_m:g}), d+ {d_plus:g}, d- {d_minus:g}: {refused}",
-            )
+                if not _all_finite(W):
+                    raise ValueError("a prototype is not finite")
+                if rate_m:
+                    g_metric += met.params  # in place on the step's own array
+                    model.metric = met.stepped(g_metric)  # refuses a non-finite or all-zero result
+            except ValueError as exc:
+                raise NonFiniteUpdate(
+                    f"non-finite update at sample step {t * train_data.n_samples + step}: "
+                    f"epoch {t}, sample {idx}, reg_weight {reg_weight}, "
+                    f"rates ({rate_p:g}, {rate_m:g}), d+ {d_plus:g}, d- {d_minus:g}: {exc}"
+                ) from exc
 
     if isinstance(model.metric, OmegaMatrix):
         det = metric.det_metric(model.metric)

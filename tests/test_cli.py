@@ -489,6 +489,9 @@ class TestEvalCommand:
                      "the metric has 5 dims, the prototypes 6", id="lambda-length"),
         pytest.param(lambda d: d.update({"lambda": [0.0] * len(d["lambda"])}),
                      "the metric is all zero", id="all-zero-lambda"),
+        # nonzero, but the squares underflow: every distance 0 as well
+        pytest.param(lambda d: d.update({"lambda": [1e-170] * len(d["lambda"])}),
+                     "the metric is all zero", id="underflowing-lambda"),
         pytest.param(lambda d: d.update(label_names=[0, 1]), "label_names must be a list of "
                      "distinct strings", id="integer-label-names"),
         pytest.param(lambda d: d.update(label_names=["0", "0"]), "label_names must be a list of "

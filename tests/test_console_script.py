@@ -258,3 +258,14 @@ def test_training_whose_metric_step_overflows_exits_1_and_writes_no_model(work):
         assert res.returncode == 1, res.stderr
         assert "non-finite update" in res.stderr and "Warning" not in res.stderr, res.stderr
         assert not (work / f"rate1e200-{kind}" / "model.json").exists()
+
+
+# the prototype step overflows; the step's refusal is the one message, with
+# no numpy warning before it (grlvq's metric gradient printed two)
+@pytest.mark.parametrize("kind", ["glvq", "grlvq", "gmlvq"])
+def test_training_whose_prototype_step_overflows_exits_1_without_a_warning(work, kind):
+    res = sparselvq_cli(work, "train", "--data", "tiny.csv", "--model", kind, "--epochs", 2,
+                        "--rate-proto", "1e200", "--out", f"proto1e200-{kind}")
+    assert res.returncode == 1, res.stderr
+    assert "non-finite update" in res.stderr and "Warning" not in res.stderr, res.stderr
+    assert not (work / f"proto1e200-{kind}" / "model.json").exists()
